@@ -2,9 +2,9 @@
 
 Reconstructs temperature-annotated wall point clouds from 2D range scans,
 IMU gravity, and radiometric thermal frames; refines trajectories with a
-joint geometric/thermal pose graph; and compares maps across sessions for
-concrete curing-heat monitoring. A synthetic-site simulator provides
-ground truth for every stage.
+relative-pose graph over odometry and loop-closure edges; and compares
+maps across sessions for concrete curing-heat monitoring. A synthetic-site
+simulator provides ground truth for every stage.
 """
 
 from .core import (
@@ -29,7 +29,6 @@ from .scan_frontend import (
     MatchResult,
     ProjectedScan,
     associate_gravity,
-    build_odometry_chain,
     filter_gravity,
     gravity_project,
     match_scans,
@@ -56,8 +55,6 @@ from .pose_graph import (
     SolverWeights,
     detect_loop_closures,
     optimize,
-    refine,
-    select_point_pairs,
 )
 from .monitor import (
     AlignmentError,

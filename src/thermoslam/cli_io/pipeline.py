@@ -20,7 +20,6 @@ from ..pose_graph import (
     SolverWeights,
     detect_loop_closures,
     optimize,
-    refine,
 )
 from ..scan_frontend import (
     DegenerateScanError,
@@ -58,17 +57,6 @@ class PipelineConfig:
     loop_max_candidates: int = 4000
     loop_max_per_node: int = 2
     weights: SolverWeights = field(default_factory=SolverWeights)
-    # Point-pair refinement rounds between loop-closure clouds. Zero keeps
-    # the relative-pose graph alone, which is the accurate choice when scan
-    # matching is strong: mutual-NN pairs between two beam-sampled
-    # extrusions inherit the sampling offsets (every z level repeats its
-    # column's offset), and several hundred weight-1 pair rows out-pull the
-    # weight-5 relative-pose rows. Enable a few rounds when loop relatives
-    # are weak and map stitching matters more than millimeter trajectory
-    # accuracy.
-    refine_rounds: int = 0
-    pair_distance: float = 0.3
-    max_pairs: int = 500
     voxel_size: float = 0.05
 
 
@@ -247,16 +235,7 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
     ]
     edges.extend(loop_edges)
     graph = PoseGraph(nodes, edges)
-    if cfg.refine_rounds > 0:
-        solved = refine(
-            graph,
-            weights=cfg.weights,
-            rounds=cfg.refine_rounds,
-            pair_distance=cfg.pair_distance,
-            max_pairs=cfg.max_pairs,
-        )
-    else:
-        solved = optimize(graph, weights=cfg.weights)
+    solved = optimize(graph, weights=cfg.weights)
 
     final_poses = [node.pose for node in solved.graph.nodes]
     session_stamp = dataset.scans[0].stamp

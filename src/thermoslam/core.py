@@ -26,12 +26,6 @@ def wrap_angle(angle: float) -> float:
     return math.pi - (math.pi - angle) % TWO_PI
 
 
-def wrap_angle_array(angles: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`wrap_angle`."""
-    a = np.asarray(angles, dtype=float)
-    return np.where((a > -np.pi) & (a <= np.pi), a, np.pi - np.mod(np.pi - a, TWO_PI))
-
-
 @dataclass(frozen=True)
 class Vec3:
     """A finite 3D vector."""
@@ -299,7 +293,3 @@ class HuberLoss:
         safe = np.where(n > 0.0, n, 1.0)
         return np.where(n <= self.delta, 1.0, self.delta / safe)
 
-
-def huber_eval(loss: HuberLoss, residual: float) -> tuple[float, float]:
-    """Evaluate a Huber loss and its derivative at a scalar residual."""
-    return loss.evaluate(residual)

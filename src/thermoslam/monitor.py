@@ -223,16 +223,6 @@ def temperature_delta(
     _require_monitor_cloud(aligned_moving, "moving")
     if alignment is None:
         alignment = RigidTransform3.identity()
-    if reference.positions.shape[0] == 0 or aligned_moving.positions.shape[0] == 0:
-        return DeltaReport(
-            positions=np.empty((0, 3)),
-            deltas=np.empty(0),
-            matched_pairs=0,
-            mean_dt=math.nan,
-            alignment=alignment,
-            rms_nn_distance=math.nan,
-            no_overlap=True,
-        )
     tree = cKDTree(aligned_moving.positions)
     dist, idx = tree.query(reference.positions)
     keep = dist <= match_radius

@@ -1,21 +1,18 @@
-"""Joint geometric/thermal pose-graph refinement.
+"""Relative-pose graph over odometry and loop-closure edges.
 
-Nodes carry planar poses and their extruded wall clouds. Edges constrain
-relative poses (odometry and loop closures); loop-closure edges may also
-carry point pairs whose world positions and attached temperatures should
-agree. Temperatures ride along with the points, so the thermal term raises
-the objective when paired readings disagree but contributes no pose
-gradient for a fixed pairing; it bites through the pairing rounds in
-:func:`refine`.
+Nodes carry planar poses and their extruded wall clouds. Each edge
+constrains the relative pose of its two nodes, measured by scan matching
+between consecutive keyframes (odometry) or revisits (loop closures).
+:func:`optimize` minimizes the Huber-robust sum of the weighted
+relative-pose residuals with Levenberg-Marquardt, holding node 0 fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import HuberLoss, PlanarPose, compose, inverse, wrap_angle
 from .scan_frontend import MatcherConfig, ProjectedScan, match_scans
@@ -32,14 +29,13 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class SolverWeights:
-    """Relative scaling of the residual families."""
+    """Weights of the translation and rotation rows of each edge residual."""
 
     translation: float = 5.0
     rotation: float = 400.0
-    thermal: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.translation, self.rotation, self.thermal) < 0.0:
+        if min(self.translation, self.rotation) < 0.0:
             raise ValueError("weights must be >= 0")
 
 
@@ -55,22 +51,18 @@ class GraphEdge:
     """Relative-pose constraint between two nodes.
 
     measured maps to-node coordinates into the from-node frame.
-    point_pairs is an (P, 2) integer array of (from-cloud index,
-    to-cloud index) correspondences; empty for plain odometry edges.
     """
 
     from_id: int
     to_id: int
     measured: PlanarPose
     kind: str = "odometry"
-    point_pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
 
     def __post_init__(self) -> None:
         if self.kind not in EDGE_KINDS:
             raise ValueError(f"edge kind must be one of {EDGE_KINDS}")
         if self.from_id == self.to_id:
             raise ValueError("edge endpoints must differ")
-        self.point_pairs = np.asarray(self.point_pairs, dtype=int).reshape(-1, 2)
 
 
 @dataclass(eq=False)
@@ -108,47 +100,6 @@ def _check_connected(graph: PoseGraph) -> None:
     roots = {find(n.node_id) for n in graph.nodes}
     if len(roots) > 1:
         raise DisconnectedGraphError(f"pose graph splits into {len(roots)} components")
-
-
-def select_point_pairs(
-    node_i: tuple[PlanarPose, WallCloud],
-    node_j: tuple[PlanarPose, WallCloud],
-    max_distance: float = 0.3,
-    max_pairs: int = 500,
-) -> np.ndarray:
-    """Mutual nearest-neighbor pairs between two temperature-set clouds.
-
-    Points are compared in the world frame under the given poses. Only
-    points with a set temperature participate. Pairs further apart than
-    max_distance are discarded; if more than max_pairs survive they are
-    thinned by uniform subsampling. Deterministic for fixed inputs.
-    """
-    pose_i, cloud_i = node_i
-    pose_j, cloud_j = node_j
-    set_i = np.flatnonzero(cloud_i.temperature_set())
-    set_j = np.flatnonzero(cloud_j.temperature_set())
-    if set_i.size == 0 or set_j.size == 0:
-        return np.empty((0, 2), dtype=int)
-
-    def world(pose: PlanarPose, pts: np.ndarray) -> np.ndarray:
-        out = pts.copy()
-        out[:, :2] = pose.apply(pts[:, :2])
-        return out
-
-    wi = world(pose_i, cloud_i.positions[set_i])
-    wj = world(pose_j, cloud_j.positions[set_j])
-    tree_j = cKDTree(wj)
-    dist_ij, nn_ij = tree_j.query(wi)
-    tree_i = cKDTree(wi)
-    _, nn_ji = tree_i.query(wj)
-    cand = np.arange(set_i.size)
-    mutual = nn_ji[nn_ij[cand]] == cand
-    keep = mutual & (dist_ij <= max_distance)
-    pairs = np.column_stack([set_i[keep], set_j[nn_ij[keep]]])
-    if pairs.shape[0] > max_pairs:
-        sel = np.unique(np.round(np.linspace(0, pairs.shape[0] - 1, max_pairs)).astype(int))
-        pairs = pairs[sel]
-    return pairs
 
 
 def detect_loop_closures(
@@ -203,7 +154,7 @@ def detect_loop_closures(
 
 
 # ---------------------------------------------------------------------------
-# Residual blocks. Each returns (residual, d residual / d pose_i,
+# Residual block. Returns (residual, d residual / d pose_i,
 # d residual / d pose_j); pose parameters are ordered (x, y, theta).
 
 
@@ -244,58 +195,6 @@ def relative_pose_residual(
     return r, ji, jj
 
 
-def point_pair_blocks(
-    pose_i: PlanarPose,
-    pose_j: PlanarPose,
-    points_i: np.ndarray,
-    points_j: np.ndarray,
-    weights: SolverWeights,
-):
-    """Geometric residuals of paired cloud points, vectorized over pairs.
-
-    Each pair contributes the 3D difference between the from-node point and
-    the to-node point mapped through the estimated relative transform.
-    Returns (residuals (P,3), Ji (P,3,3), Jj (P,3,3)). The z row carries
-    the constant height difference with zero derivatives.
-    """
-    pi = np.atleast_2d(points_i)
-    pj = np.atleast_2d(points_j)
-    n = pi.shape[0]
-    u = np.array([pose_j.x - pose_i.x, pose_j.y - pose_i.y])
-    b = pose_j.theta - pose_i.theta
-    cb, sb = math.cos(b), math.sin(b)
-    rot_b = np.array([[cb, -sb], [sb, cb]])  # R(theta_j - theta_i)
-    ci, si = math.cos(pose_i.theta), math.sin(pose_i.theta)
-    rot_ni = np.array([[ci, si], [-si, ci]])  # R(-theta_i)
-    moved_xy = pj[:, :2] @ rot_b.T + rot_ni @ u
-    res = np.empty((n, 3))
-    res[:, :2] = pi[:, :2] - moved_xy
-    res[:, 2] = pi[:, 2] - pj[:, 2]
-
-    ji = np.zeros((n, 3, 3))
-    jj = np.zeros((n, 3, 3))
-    spin_b = (pj[:, :2] @ rot_b.T) @ _SPIN.T  # S @ R(b) @ b_xy per pair
-    spin_u = _SPIN @ rot_ni @ u
-    ji[:, :2, :2] = rot_ni
-    ji[:, :2, 2] = spin_b + spin_u
-    jj[:, :2, :2] = -rot_ni
-    jj[:, :2, 2] = -spin_b
-    return res, ji, jj
-
-
-def thermal_pair_residuals(
-    temps_i: np.ndarray,
-    temps_j: np.ndarray,
-    weights: SolverWeights,
-) -> np.ndarray:
-    """Weighted temperature disagreement of paired points.
-
-    Temperatures are attached to points, so this residual is constant with
-    respect to every pose: its Jacobian is identically zero.
-    """
-    return math.sqrt(weights.thermal) * (np.asarray(temps_i, dtype=float) - np.asarray(temps_j, dtype=float))
-
-
 @dataclass(frozen=True)
 class OptimizeConfig:
     max_iterations: int = 100
@@ -326,10 +225,9 @@ def _pass(
     index: dict[int, int],
     weights: SolverWeights,
     loss: HuberLoss,
-    thermal_loss: HuberLoss,
     with_derivatives: bool,
 ):
-    """One sweep over all residual blocks.
+    """One sweep over all relative-pose residual blocks.
 
     Returns (objective, H, g); H and g are None unless requested. Robust
     weighting is applied per block via the usual rho'(r)/r scheme.
@@ -358,30 +256,6 @@ def _pass(
             h[sj : sj + 3, si : si + 3] += cross.T
             g[si : si + 3] += w * jac_i.T @ r
             g[sj : sj + 3] += w * jac_j.T @ r
-
-        if edge.point_pairs.shape[0] == 0:
-            continue
-        cloud_i = graph.nodes[ki].cloud
-        cloud_j = graph.nodes[kj].cloud
-        ii, jj_idx = edge.point_pairs[:, 0], edge.point_pairs[:, 1]
-        res, jac_pi, jac_pj = point_pair_blocks(
-            pose_i, pose_j, cloud_i.positions[ii], cloud_j.positions[jj_idx], weights
-        )
-        norms = np.linalg.norm(res, axis=1)
-        objective += float(loss.values(norms).sum())
-        th = thermal_pair_residuals(cloud_i.temperatures[ii], cloud_j.temperatures[jj_idx], weights)
-        objective += float(thermal_loss.values(np.abs(th)).sum())
-        if with_derivatives:
-            w = loss.weights(norms)
-            si, sj = 3 * ki, 3 * kj
-            h[si : si + 3, si : si + 3] += np.einsum("n,nri,nrj->ij", w, jac_pi, jac_pi)
-            h[sj : sj + 3, sj : sj + 3] += np.einsum("n,nri,nrj->ij", w, jac_pj, jac_pj)
-            cross = np.einsum("n,nri,nrj->ij", w, jac_pi, jac_pj)
-            h[si : si + 3, sj : sj + 3] += cross
-            h[sj : sj + 3, si : si + 3] += cross.T
-            g[si : si + 3] += np.einsum("n,nri,nr->i", w, jac_pi, res)
-            g[sj : sj + 3] += np.einsum("n,nri,nr->i", w, jac_pj, res)
-            # The thermal block's pose Jacobian is identically zero.
     return objective, h, g
 
 
@@ -389,12 +263,10 @@ def objective(
     graph: PoseGraph,
     weights: SolverWeights,
     loss: HuberLoss | None = None,
-    thermal_loss: HuberLoss | None = None,
 ) -> float:
-    """Robust joint objective at the graph's current poses."""
+    """Robust objective at the graph's current poses."""
     loss = loss if loss is not None else HuberLoss(0.1)
-    thermal_loss = thermal_loss if thermal_loss is not None else HuberLoss(2.0)
-    value, _, _ = _pass(_pose_array(graph), graph, _graph_index(graph), weights, loss, thermal_loss, False)
+    value, _, _ = _pass(_pose_array(graph), graph, _graph_index(graph), weights, loss, False)
     return value
 
 
@@ -402,7 +274,6 @@ def optimize(
     graph: PoseGraph,
     weights: SolverWeights | None = None,
     loss: HuberLoss | None = None,
-    thermal_loss: HuberLoss | None = None,
     config: OptimizeConfig | None = None,
 ) -> OptimizeResult:
     """Damped least-squares refinement of all poses except the anchor.
@@ -415,7 +286,6 @@ def optimize(
     """
     weights = weights if weights is not None else SolverWeights()
     loss = loss if loss is not None else HuberLoss(0.1)
-    thermal_loss = thermal_loss if thermal_loss is not None else HuberLoss(2.0)
     cfg = config if config is not None else OptimizeConfig()
     index = _graph_index(graph)
     if 0 not in index:
@@ -425,11 +295,11 @@ def optimize(
     free = np.ones(3 * len(graph.nodes), dtype=bool)
     free[3 * anchor : 3 * anchor + 3] = False
     if not np.any(free):
-        value = objective(graph, weights, loss, thermal_loss)
+        value = objective(graph, weights, loss)
         return OptimizeResult(graph, True, 0, value, value)
 
     states = _pose_array(graph)
-    value, h, g = _pass(states, graph, index, weights, loss, thermal_loss, True)
+    value, h, g = _pass(states, graph, index, weights, loss, True)
     initial = value
     damping = cfg.initial_damping
     converged = False
@@ -449,7 +319,7 @@ def optimize(
         cand_flat = cand.reshape(-1)
         cand_flat[free] += step
         cand[:, 2] = np.array([wrap_angle(t) for t in cand[:, 2]])
-        cand_value, cand_h, cand_g = _pass(cand, graph, index, weights, loss, thermal_loss, True)
+        cand_value, cand_h, cand_g = _pass(cand, graph, index, weights, loss, True)
         if cand_value <= value:
             drop = value - cand_value
             states, value, h, g = cand, cand_value, cand_h, cand_g
@@ -473,40 +343,3 @@ def optimize(
     out = PoseGraph(new_nodes, graph.edges)
     return OptimizeResult(out, converged, iterations, initial, value)
 
-
-def refine(
-    graph: PoseGraph,
-    weights: SolverWeights | None = None,
-    loss: HuberLoss | None = None,
-    thermal_loss: HuberLoss | None = None,
-    config: OptimizeConfig | None = None,
-    rounds: int = 3,
-    pair_distance: float = 0.3,
-    max_pairs: int = 500,
-) -> OptimizeResult:
-    """Alternate point-pair selection and optimization.
-
-    Re-pairing between rounds is what lets the pose-independent thermal
-    term influence the solution: disagreeing pairings raise the objective
-    until the geometry stops producing them.
-    """
-    if rounds < 1:
-        raise ValueError("refine needs at least one round")
-    result = OptimizeResult(graph, True, 0, math.nan, math.nan)
-    current = graph
-    for _ in range(rounds):
-        index = _graph_index(current)
-        for edge in current.edges:
-            if edge.kind != "loop_closure":
-                continue
-            node_i = current.nodes[index[edge.from_id]]
-            node_j = current.nodes[index[edge.to_id]]
-            edge.point_pairs = select_point_pairs(
-                (node_i.pose, node_i.cloud),
-                (node_j.pose, node_j.cloud),
-                max_distance=pair_distance,
-                max_pairs=max_pairs,
-            )
-        result = optimize(current, weights, loss, thermal_loss, config)
-        current = result.graph
-    return result

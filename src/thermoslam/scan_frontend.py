@@ -2,8 +2,9 @@
 
 Raw range scans are taken on a platform that tilts on rough ground, so
 beam endpoints are first projected onto the plane orthogonal to measured
-gravity. Consecutive projected scans are then registered with a robust
-point-to-line matcher to build an odometry chain.
+gravity. Pairs of projected scans are then registered with a robust
+point-to-line matcher; the mapping pipeline uses it for scan-to-keyframe
+odometry and for loop-closure checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     Scan2D,
     Timestamp,
     Vec3,
-    compose,
     rotation_aligning,
     wrap_angle,
 )
@@ -366,43 +366,3 @@ def match_scans(
         inlier_count=assoc["inliers"],
         converged=converged,
     )
-
-
-@dataclass(eq=False)
-class OdometryChain:
-    """Dead-reckoned trajectory from consecutive scan matches.
-
-    entries holds (node_id, pose-in-frame-of-node-0); relatives[k] is the
-    transform used between nodes k and k+1. Nodes whose match failed reuse
-    the previous relative (constant velocity) and are listed in
-    fallback_nodes.
-    """
-
-    entries: list[tuple[int, PlanarPose]]
-    relatives: list[PlanarPose]
-    fallback_nodes: list[int]
-    results: list[MatchResult]
-
-
-def build_odometry_chain(scans: list[ProjectedScan], config: MatcherConfig | None = None) -> OdometryChain:
-    """Chain consecutive scan matches into poses for nodes 0..N-1."""
-    if not scans:
-        raise ValueError("no scans to chain")
-    cfg = config if config is not None else MatcherConfig()
-    entries: list[tuple[int, PlanarPose]] = [(0, PlanarPose())]
-    relatives: list[PlanarPose] = []
-    fallbacks: list[int] = []
-    results: list[MatchResult] = []
-    guess = PlanarPose()
-    for k in range(1, len(scans)):
-        result = match_scans(scans[k - 1], scans[k], initial_guess=guess, config=cfg)
-        results.append(result)
-        if result.converged:
-            rel = result.relative_pose
-        else:
-            rel = guess
-            fallbacks.append(k)
-        relatives.append(rel)
-        entries.append((k, compose(entries[-1][1], rel)))
-        guess = rel
-    return OdometryChain(entries, relatives, fallbacks, results)

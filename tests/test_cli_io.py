@@ -497,10 +497,18 @@ def test_cli_map_bad_inputs(tmp_path, capsys):
 
     session = tmp_path / "session"
     save_session(_small_dataset(), session)
-    bad_cfg = _write_json(tmp_path / "cfg.json", {"matcher": {"delta": 1.0}})
-    rc = main(["map", "--session", str(session), "--config", bad_cfg, "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "delta" in capsys.readouterr().err
+    # Keys of the removed point-pair refinement are rejected, not ignored.
+    for k, (key, config) in enumerate(
+        [
+            ("delta", {"matcher": {"delta": 1.0}}),
+            ("refine_rounds", {"refine_rounds": 3}),
+            ("thermal", {"weights": {"thermal": 1.0}}),
+        ]
+    ):
+        bad_cfg = _write_json(tmp_path / f"cfg{k}.json", config)
+        rc = main(["map", "--session", str(session), "--config", bad_cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_full_workflow(tmp_path, capsys):

@@ -136,12 +136,14 @@ def test_temperature_delta_gates_by_match_radius():
 
 
 def test_temperature_delta_no_overlap():
-    reference = ThermalPointCloud([[0.0, 0.0, 0.0]], [20.0])
-    moving = ThermalPointCloud([[9.0, 9.0, 9.0]], [21.0])
-    report = temperature_delta(reference, moving)
-    assert report.no_overlap
-    assert report.matched_pairs == 0
-    assert math.isnan(report.mean_dt)
+    point = ThermalPointCloud([[0.0, 0.0, 0.0]], [20.0])
+    far = ThermalPointCloud([[9.0, 9.0, 9.0]], [21.0])
+    empty = ThermalPointCloud(np.empty((0, 3)), np.empty(0))
+    for reference, moving in ((point, far), (empty, point), (point, empty)):
+        report = temperature_delta(reference, moving)
+        assert report.no_overlap
+        assert report.matched_pairs == 0
+        assert math.isnan(report.mean_dt)
 
 
 # ---------------------------------------------------------------------------

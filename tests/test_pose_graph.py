@@ -18,31 +18,12 @@ from thermoslam import (
     detect_loop_closures,
     inverse,
     optimize,
-    refine,
-    select_point_pairs,
 )
-from thermoslam.pose_graph import (
-    objective,
-    point_pair_blocks,
-    relative_pose_residual,
-    thermal_pair_residuals,
-)
-
-
-def _random_cloud(rng: np.random.Generator, n: int = 30, set_fraction: float = 0.7) -> WallCloud:
-    positions = rng.uniform(-2.0, 2.0, (n, 3))
-    temps = np.where(rng.uniform(size=n) < set_fraction, rng.uniform(15.0, 30.0, n), np.nan)
-    return WallCloud(positions, temps, np.where(np.isfinite(temps), 1.0, np.inf))
+from thermoslam.pose_graph import objective, relative_pose_residual
 
 
 def _tiny_cloud() -> WallCloud:
     return WallCloud([[0.0, 0.0, 0.0]], [20.0], [1.0])
-
-
-def _world_points(pose: PlanarPose, cloud: WallCloud, idx: np.ndarray) -> np.ndarray:
-    out = cloud.positions[idx].copy()
-    out[:, :2] = pose.apply(out[:, :2])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +31,7 @@ def _world_points(pose: PlanarPose, cloud: WallCloud, idx: np.ndarray) -> np.nda
 
 
 def test_solver_weights_validation():
-    SolverWeights(0.0, 0.0, 0.0)
+    SolverWeights(0.0, 0.0)
     with pytest.raises(ValueError):
         SolverWeights(translation=-1.0)
 
@@ -60,9 +41,6 @@ def test_graph_edge_validation():
         GraphEdge(1, 1, PlanarPose())
     with pytest.raises(ValueError):
         GraphEdge(0, 1, PlanarPose(), kind="guess")
-    edge = GraphEdge(0, 1, PlanarPose(), point_pairs=[[0, 1], [2, 3]])
-    assert edge.point_pairs.shape == (2, 2)
-    assert edge.point_pairs.dtype == int
 
 
 def test_pose_graph_validation_and_lookup():
@@ -78,60 +56,7 @@ def test_pose_graph_validation_and_lookup():
 
 
 # ---------------------------------------------------------------------------
-# Point-pair selection against a brute-force oracle.
-
-
-def _mutual_pairs_oracle(pose_i, cloud_i, pose_j, cloud_j, max_distance):
-    set_i = np.flatnonzero(np.isfinite(cloud_i.temperatures))
-    set_j = np.flatnonzero(np.isfinite(cloud_j.temperatures))
-    wi = _world_points(pose_i, cloud_i, set_i)
-    wj = _world_points(pose_j, cloud_j, set_j)
-    d = np.linalg.norm(wi[:, None, :] - wj[None, :, :], axis=2)
-    nn_ij = d.argmin(axis=1)
-    nn_ji = d.argmin(axis=0)
-    pairs = []
-    for a in range(set_i.size):
-        b = nn_ij[a]
-        if nn_ji[b] == a and d[a, b] <= max_distance:
-            pairs.append((set_i[a], set_j[b]))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
-
-
-def test_select_point_pairs_matches_bruteforce():
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        cloud_i = _random_cloud(rng)
-        cloud_j = _random_cloud(rng)
-        pose_i = PlanarPose(*rng.uniform(-1, 1, 3))
-        pose_j = PlanarPose(*rng.uniform(-1, 1, 3))
-        got = select_point_pairs((pose_i, cloud_i), (pose_j, cloud_j), max_distance=0.8, max_pairs=10_000)
-        want = _mutual_pairs_oracle(pose_i, cloud_i, pose_j, cloud_j, 0.8)
-        assert np.array_equal(got, want), f"trial {trial}"
-
-
-def test_select_point_pairs_cap_subsamples_uniformly():
-    rng = np.random.default_rng(8)
-    positions = np.column_stack([np.linspace(0, 5, 80), np.zeros(80), np.zeros(80)])
-    cloud = WallCloud(positions, np.full(80, 20.0), np.ones(80))
-    other = WallCloud(positions + rng.normal(0, 0.01, (80, 3)), np.full(80, 21.0), np.ones(80))
-    full = select_point_pairs((PlanarPose(), cloud), (PlanarPose(), other), max_distance=0.1, max_pairs=10_000)
-    capped = select_point_pairs((PlanarPose(), cloud), (PlanarPose(), other), max_distance=0.1, max_pairs=7)
-    assert full.shape[0] > 7 >= capped.shape[0]
-    as_set = {tuple(row) for row in full.tolist()}
-    assert all(tuple(row) in as_set for row in capped.tolist())
-    # Uniform thinning keeps both ends of the sequence.
-    assert np.array_equal(capped[0], full[0])
-    assert np.array_equal(capped[-1], full[-1])
-
-
-def test_select_point_pairs_requires_set_temperatures():
-    unset = WallCloud([[0.0, 0.0, 0.0]], [np.nan], [np.inf])
-    got = select_point_pairs((PlanarPose(), unset), (PlanarPose(), _tiny_cloud()))
-    assert got.shape == (0, 2)
-
-
-# ---------------------------------------------------------------------------
-# Residual blocks.
+# Relative-pose residual.
 
 
 def test_relative_pose_residual_zero_when_consistent():
@@ -156,30 +81,6 @@ def test_relative_pose_residual_is_gauge_invariant():
         r0, _, _ = relative_pose_residual(pose_i, pose_j, measured, weights)
         r1, _, _ = relative_pose_residual(compose(gauge, pose_i), compose(gauge, pose_j), measured, weights)
         assert np.allclose(r0, r1, atol=1e-9)
-
-
-def test_point_pair_blocks_zero_for_true_correspondences():
-    rng = np.random.default_rng(11)
-    pose_i = PlanarPose(0.5, -0.3, 0.9)
-    pose_j = PlanarPose(-1.0, 0.2, -0.4)
-    world = rng.uniform(-2, 2, (12, 3))
-    points_i = world.copy()
-    points_i[:, :2] = inverse(pose_i).apply(world[:, :2])
-    points_j = world.copy()
-    points_j[:, :2] = inverse(pose_j).apply(world[:, :2])
-    res, ji, jj = point_pair_blocks(pose_i, pose_j, points_i, points_j, SolverWeights())
-    assert np.abs(res).max() < 1e-12
-    assert ji.shape == (12, 3, 3)
-    assert jj.shape == (12, 3, 3)
-    # z rows never respond to planar pose changes.
-    assert np.array_equal(ji[:, 2, :], np.zeros((12, 3)))
-    assert np.array_equal(jj[:, 2, :], np.zeros((12, 3)))
-
-
-def test_thermal_pair_residuals_scale_with_weight():
-    weights = SolverWeights(thermal=4.0)
-    r = thermal_pair_residuals(np.array([20.0, 25.0]), np.array([18.0, 25.5]), weights)
-    assert np.allclose(r, [4.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +168,6 @@ def test_optimize_single_node_graph():
     assert result.converged
     assert result.iterations == 0
     assert result.graph.nodes[0].pose == PlanarPose(1.0, 2.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# Joint refinement.
-
-
-def test_refine_rejects_zero_rounds():
-    graph, _ = _chain_graph()
-    with pytest.raises(ValueError):
-        refine(graph, rounds=0)
-
-
-def test_refine_repairs_loop_closure_edges_only():
-    rng = np.random.default_rng(12)
-    positions = np.column_stack([np.linspace(0, 2, 40), np.zeros(40), np.tile([0.0, 0.5], 20)])
-    cloud_a = WallCloud(positions, np.full(40, 22.0), np.ones(40))
-    cloud_b = WallCloud(positions + rng.normal(0, 0.005, (40, 3)), np.full(40, 22.2), np.ones(40))
-    nodes = [
-        GraphNode(0, PlanarPose(), cloud_a),
-        GraphNode(1, PlanarPose(0.01, 0.0, 0.0), cloud_b),
-    ]
-    odo = GraphEdge(0, 1, PlanarPose(0.01, 0.0, 0.0))
-    loop = GraphEdge(0, 1, PlanarPose(0.01, 0.0, 0.0), kind="loop_closure")
-    graph = PoseGraph(nodes, [odo, loop])
-    result = refine(graph, rounds=1)
-    assert result.converged
-    assert loop.point_pairs.shape[0] > 0
-    assert odo.point_pairs.shape[0] == 0
 
 
 # ---- loop-closure detection ----

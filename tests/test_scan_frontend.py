@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,15 @@ from thermoslam import (
     PlanarPose,
     Scan2D,
     Vec3,
-    compose,
     inverse,
     match_scans,
 )
+from thermoslam.cli_io import run_mapping
 from thermoslam.core import GravityVector, ImuSample
 from thermoslam.scan_frontend import (
     DegenerateScanError,
     ProjectedScan,
     associate_gravity,
-    build_odometry_chain,
     estimate_normals,
     filter_gravity,
     gravity_project,
@@ -239,36 +239,19 @@ def test_match_scans_rejects_tiny_scans():
 
 
 # ---------------------------------------------------------------------------
-# Odometry chaining.
+# Scan-to-keyframe odometry in the mapping pipeline.
 
 
-def test_build_odometry_chain_composes_relatives():
-    step = PlanarPose(0.05, 0.01, math.radians(1.0))
-    base = _square_points(240)
-    scans = [
-        ProjectedScan(0, base),
-        ProjectedScan(1, _displaced_copy(base, step)),
-        ProjectedScan(2, _displaced_copy(base, compose(step, step))),
-    ]
-    chain = build_odometry_chain(scans)
-    assert [n for n, _ in chain.entries] == [0, 1, 2]
-    assert chain.fallback_nodes == []
-    expected = compose(step, step)
-    final = chain.entries[-1][1]
-    assert math.hypot(final.x - expected.x, final.y - expected.y) < 1e-6
-    assert abs(final.theta - expected.theta) < 1e-6
-
-
-def test_build_odometry_chain_falls_back_on_failed_match():
-    base = _square_points(120)
-    scans = [ProjectedScan(0, base), ProjectedScan(1, base + 100.0)]
-    chain = build_odometry_chain(scans)
-    assert chain.fallback_nodes == [1]
-    # Constant-velocity fallback from a standing start is the identity.
-    assert chain.relatives[0] == PlanarPose()
-    assert not chain.results[0].converged
-
-
-def test_build_odometry_chain_rejects_empty():
-    with pytest.raises(ValueError):
-        build_odometry_chain([])
+def test_run_mapping_falls_back_on_a_blanked_scan(noiseless_run):
+    assert noiseless_run.result.diagnostics["odometry_fallbacks"] == 0
+    dataset = noiseless_run.dataset
+    scans = list(dataset.scans)
+    mid = len(scans) // 2
+    blank = np.full(scans[mid].ranges.size, np.nan)
+    blank[:3] = 1.0
+    scans[mid] = Scan2D(scans[mid].stamp, scans[mid].angle_min, scans[mid].angle_increment, blank)
+    result = run_mapping(dataclasses.replace(dataset, scans=scans))
+    # A blanked keyframe leaves the scans after it without a usable
+    # reference, so they fall back too: count at least one.
+    assert result.diagnostics["odometry_fallbacks"] >= 1
+    assert result.diagnostics["ate_m"] < 1e-3
