@@ -182,7 +182,7 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
 
     kf_scans = [projected[i] for i in kf_indices]
     extrusion = dataset.calib.extrusion()
-    clouds: list[WallCloud] = [extrude_walls(s, extrusion, node_id=n) for n, s in enumerate(kf_scans)]
+    clouds: list[WallCloud] = [extrude_walls(s, extrusion) for s in kf_scans]
 
     # Thermal attachment: each frame colors the keyframe cloud nearest in
     # time, using the camera pose interpolated from the dense scan track.
@@ -229,7 +229,7 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
         max_per_node=cfg.loop_max_per_node,
     )
 
-    nodes = [GraphNode(n, pose, cloud) for n, (pose, cloud) in enumerate(zip(kf_poses, clouds))]
+    nodes = [GraphNode(n, pose) for n, pose in enumerate(kf_poses)]
     edges: list[GraphEdge] = [
         GraphEdge(n, n + 1, rel, kind="odometry") for n, rel in enumerate(kf_relatives)
     ]

@@ -131,17 +131,17 @@ def _icp_stage(
     tree = cKDTree(reference)
     current = start
     current_rms = math.inf
+    # (dist, idx) always hold the nearest neighbors of moving placed at current.
+    dist, idx = tree.query(current.apply(moving))
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        placed = current.apply(moving)
-        dist, idx = tree.query(placed)
         gate = 3.0 * float(np.median(dist))
         keep = dist <= gate
         if not np.any(keep):
             break
         yaw, t_xy, t_z = _fit_planar_z(moving[keep], reference[idx[keep]])
         candidate = _as_transform(yaw, t_xy, t_z)
-        cand_dist, _ = tree.query(candidate.apply(moving))
+        cand_dist, cand_idx = tree.query(candidate.apply(moving))
         cand_keep = cand_dist <= 3.0 * float(np.median(cand_dist))
         cand_rms = float(np.sqrt(np.mean(cand_dist[cand_keep] ** 2)))
         if cand_rms > current_rms:
@@ -150,6 +150,7 @@ def _icp_stage(
         prev_yaw = _yaw_of(current)
         prev_translation = np.asarray(current.translation, dtype=float).copy()
         current, current_rms = candidate, cand_rms
+        dist, idx = cand_dist, cand_idx
         small_step = (
             abs(wrap_angle(yaw - prev_yaw)) < 1e-10
             and float(np.linalg.norm(np.asarray(candidate.translation, dtype=float) - prev_translation)) < 1e-10
@@ -157,8 +158,6 @@ def _icp_stage(
         if improvement < 1e-12 or small_step:
             break
     if not math.isfinite(current_rms):
-        placed = current.apply(moving)
-        dist, _ = tree.query(placed)
         keep = dist <= 3.0 * float(np.median(dist))
         current_rms = float(np.sqrt(np.mean(dist[keep] ** 2))) if np.any(keep) else math.inf
     return current, current_rms, iterations

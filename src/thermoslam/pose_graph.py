@@ -1,8 +1,8 @@
 """Relative-pose graph over odometry and loop-closure edges.
 
-Nodes carry planar poses and their extruded wall clouds. Each edge
-constrains the relative pose of its two nodes, measured by scan matching
-between consecutive keyframes (odometry) or revisits (loop closures).
+Nodes carry planar poses. Each edge constrains the relative pose of its
+two nodes, measured by scan matching between consecutive keyframes
+(odometry) or revisits (loop closures).
 :func:`optimize` minimizes the Huber-robust sum of the weighted
 relative-pose residuals with Levenberg-Marquardt, holding node 0 fixed.
 """
@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import HuberLoss, PlanarPose, compose, inverse, wrap_angle
 from .scan_frontend import MatcherConfig, ProjectedScan, match_scans
-from .thermal_map import WallCloud
 
 EDGE_KINDS = ("odometry", "loop_closure")
 
@@ -43,7 +42,6 @@ class SolverWeights:
 class GraphNode:
     node_id: int
     pose: PlanarPose
-    cloud: WallCloud
 
 
 @dataclass(eq=False)
@@ -335,11 +333,9 @@ def optimize(
     new_nodes = []
     for k, node in enumerate(graph.nodes):
         if k == anchor:
-            new_nodes.append(GraphNode(node.node_id, node.pose, node.cloud))
+            new_nodes.append(GraphNode(node.node_id, node.pose))
         else:
-            new_nodes.append(
-                GraphNode(node.node_id, PlanarPose(states[k, 0], states[k, 1], states[k, 2]), node.cloud)
-            )
+            new_nodes.append(GraphNode(node.node_id, PlanarPose(states[k, 0], states[k, 1], states[k, 2])))
     out = PoseGraph(new_nodes, graph.edges)
     return OptimizeResult(out, converged, iterations, initial, value)
 

@@ -4,13 +4,15 @@ Raw range scans are taken on a platform that tilts on rough ground, so
 beam endpoints are first projected onto the plane orthogonal to measured
 gravity. Pairs of projected scans are then registered with a robust
 point-to-line matcher; the mapping pipeline uses it for scan-to-keyframe
-odometry and for loop-closure checks.
+odometry and for loop-closure checks. Each scan computes its normals and
+its line-point search tree once, however often it is matched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -28,6 +30,7 @@ from .core import (
 )
 
 DOWN = np.array([0.0, 0.0, -1.0])
+MIN_POINT_NORM = 1e-9  # leveled points closer to the origin are zero-range
 
 
 class DegenerateScanError(ValueError):
@@ -36,7 +39,13 @@ class DegenerateScanError(ValueError):
 
 @dataclass(eq=False)
 class ProjectedScan:
-    """Gravity-leveled scan: 2D points in the horizontal sensor plane."""
+    """Gravity-leveled scan: 2D points in the horizontal sensor plane.
+
+    The scan also owns its surface model, computed on first use and kept:
+    ``normals`` for every point and ``line_points`` for matching against
+    it. A scan matched many times therefore estimates its normals once.
+    Treat points_xy as read-only once either has been computed.
+    """
 
     stamp: Timestamp
     points_xy: np.ndarray
@@ -50,6 +59,28 @@ class ProjectedScan:
 
     def __len__(self) -> int:
         return self.points_xy.shape[0]
+
+    @cached_property
+    def normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(normals, valid) of every point, from :func:`estimate_normals`."""
+        return estimate_normals(self.points_xy)
+
+    @cached_property
+    def line_points(self) -> tuple[np.ndarray, np.ndarray, cKDTree | None]:
+        """(points, normals, tree) of the points with a valid normal.
+
+        The tree is None when no point has one.
+        """
+        normals, valid = self.normals
+        # Correspondences are only drawn from reference points whose local
+        # surface orientation is trustworthy. Isolated returns and corner
+        # neighborhoods stay out of the search tree entirely, so the
+        # nearest-match index can never flip between a usable and an
+        # unusable point as the pose moves; such flips reward the solver
+        # for warping the pose to capture extra correspondences.
+        usable = np.flatnonzero(valid)
+        points = self.points_xy[usable]
+        return points, normals[usable], cKDTree(points) if usable.size else None
 
 
 @dataclass(frozen=True)
@@ -71,16 +102,18 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class MatcherConfig:
+    """Scan-matcher settings.
+
+    The normal neighborhood is not among them: every scan estimates its
+    normals once, with :func:`estimate_normals` at its defaults.
+    """
+
     max_iterations: int = 50
     update_tolerance: float = 1e-6
     distance_gate: float = 0.5
     normal_angle_gate: float = math.radians(45.0)
     min_inliers: int = 25
     huber: HuberLoss = field(default_factory=lambda: HuberLoss(0.1))
-    normal_neighbors: int = 8
-    normal_radius: float = 0.3
-    normal_flatness: float = 0.02
-    min_point_norm: float = 1e-9
     initial_damping: float = 1e-4
 
 
@@ -156,13 +189,13 @@ def project_points_to_plane(points: np.ndarray, gravity: np.ndarray) -> np.ndarr
     return pts - np.outer((pts @ g) / float(g @ g), g)
 
 
-def gravity_project(scan: Scan2D, gravity: GravityVector, min_point_norm: float = 1e-9) -> ProjectedScan:
+def gravity_project(scan: Scan2D, gravity: GravityVector) -> ProjectedScan:
     """Level a scan: project beam endpoints onto the horizontal plane.
 
     The in-plane basis is chosen by the smallest rotation taking the
     gravity direction onto -z, so a level scan passes through bit-for-bit.
-    Points that project onto the origin (beams parallel to gravity) are
-    discarded as zero-range.
+    Points that project within MIN_POINT_NORM of the origin (beams parallel
+    to gravity) are discarded as zero-range.
     """
     points = scan_to_points(scan)
     if points.shape[0] < 2:
@@ -172,7 +205,7 @@ def gravity_project(scan: Scan2D, gravity: GravityVector, min_point_norm: float 
     basis = rotation_aligning(g, DOWN)
     leveled = flat @ basis.T
     xy = leveled[:, :2]
-    keep = np.linalg.norm(xy, axis=1) >= min_point_norm
+    keep = np.linalg.norm(xy, axis=1) >= MIN_POINT_NORM
     xy = xy[keep]
     if xy.shape[0] < 2:
         raise DegenerateScanError("projection left fewer than 2 usable points")
@@ -219,93 +252,64 @@ def estimate_normals(
     return normals, valid
 
 
-class _MatchProblem:
-    """Precomputed per-pair matching state shared by cost and solver."""
+def associate(reference: ProjectedScan, moving: ProjectedScan, state: np.ndarray, cfg: MatcherConfig):
+    """Place the moving scan at state and pair its points with reference lines.
 
-    def __init__(self, reference: ProjectedScan, moving: ProjectedScan, config: MatcherConfig):
-        self.cfg = config
-        self.ref = reference.points_xy
-        self.mov = moving.points_xy
-        ref_normals, ref_valid = estimate_normals(
-            self.ref, config.normal_neighbors, config.normal_radius, config.normal_flatness
-        )
-        # Correspondences are only drawn from reference points whose local
-        # surface orientation is trustworthy. Isolated returns and corner
-        # neighborhoods stay out of the search tree entirely, so the
-        # nearest-match index can never flip between a usable and an
-        # unusable point as the pose moves; such flips reward the solver
-        # for warping the pose to capture extra correspondences.
-        self.usable = np.flatnonzero(ref_valid)
-        self.line_points = self.ref[self.usable]
-        self.line_normals = ref_normals[self.usable]
-        self.tree = cKDTree(self.line_points) if self.usable.size else None
-        self.mov_normals, self.mov_valid = estimate_normals(
-            self.mov, config.normal_neighbors, config.normal_radius, config.normal_flatness
-        )
-        self.cos_gate = math.cos(config.normal_angle_gate)
-
-    def associate(self, state: np.ndarray):
-        cfg = self.cfg
-        n_mov = self.mov.shape[0]
-        c, s = math.cos(state[2]), math.sin(state[2])
-        rot = np.array([[c, -s], [s, c]])
-        moved = self.mov @ rot.T + state[:2]
-        if self.tree is None:
-            norms = np.full(n_mov, cfg.distance_gate)
-            return {
-                "cost": float(cfg.huber.values(norms).sum() / n_mov),
-                "moved": moved,
-                "idx": np.zeros(n_mov, dtype=int),
-                "line": np.zeros(n_mov, dtype=bool),
-                "line_res": np.zeros(n_mov),
-                "delta": np.zeros_like(moved),
-                "inliers": 0,
-            }
-        dist, idx = self.tree.query(moved)
+    Returns (cost, moved, idx, line, line_res): the normalized robust cost,
+    the placed moving points, each one's nearest reference line point, the
+    mask of accepted point-to-line pairs and the signed point-to-line
+    residuals. Beams without an accepted pair saturate at the distance gate.
+    """
+    line_points, line_normals, tree = reference.line_points
+    n_mov = len(moving)
+    c, s = math.cos(state[2]), math.sin(state[2])
+    rot = np.array([[c, -s], [s, c]])
+    moved = moving.points_xy @ rot.T + state[:2]
+    if tree is None:
+        idx = np.zeros(n_mov, dtype=int)
+        line = np.zeros(n_mov, dtype=bool)
+        line_res = np.zeros(n_mov)
+    else:
+        dist, idx = tree.query(moved)
         within = dist <= cfg.distance_gate
-        rotated_normals = self.mov_normals @ rot.T
-        agreement = np.abs(np.einsum("ni,ni->n", rotated_normals, self.line_normals[idx]))
+        mov_normals, mov_valid = moving.normals
+        rotated_normals = mov_normals @ rot.T
+        agreement = np.abs(np.einsum("ni,ni->n", rotated_normals, line_normals[idx]))
         # Both sides must present a trustworthy flat patch and the patches
         # must agree in orientation; a mover with an unknown normal cannot
         # be told apart from a cross-surface mismatch, so it saturates.
-        line = within & self.mov_valid & (agreement >= self.cos_gate)
-        delta = moved - self.line_points[idx]
-        line_res = np.einsum("ni,ni->n", self.line_normals[idx], delta)
-        norms = np.full(n_mov, cfg.distance_gate)
-        norms[line] = np.abs(line_res[line])
-        cost = float(cfg.huber.values(norms).sum() / n_mov)
-        return {
-            "cost": cost,
-            "moved": moved,
-            "idx": idx,
-            "line": line,
-            "line_res": line_res,
-            "delta": delta,
-            "inliers": int(np.count_nonzero(line)),
-        }
+        line = within & mov_valid & (agreement >= math.cos(cfg.normal_angle_gate))
+        line_res = np.einsum("ni,ni->n", line_normals[idx], moved - line_points[idx])
+    norms = np.full(n_mov, cfg.distance_gate)
+    norms[line] = np.abs(line_res[line])
+    cost = float(cfg.huber.values(norms).sum() / n_mov)
+    return cost, moved, idx, line, line_res
 
-    def normal_equations(self, state: np.ndarray, assoc: dict) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
-        moved_centered = assoc["moved"] - state[:2]  # rotated moving points
+
+def normal_equations(
+    reference: ProjectedScan, state: np.ndarray, association: tuple, cfg: MatcherConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Huber-weighted Gauss-Newton system (H, g) of an association's pairs."""
+    _, moved, idx, line, line_res = association
+    _, line_normals, _ = reference.line_points
+    h = np.zeros((3, 3))
+    g = np.zeros(3)
+    if np.any(line):
+        moved_centered = moved[line] - state[:2]  # rotated moving points
         dtheta = np.column_stack([-moved_centered[:, 1], moved_centered[:, 0]])
-        h = np.zeros((3, 3))
-        g = np.zeros(3)
-        line = assoc["line"]
-        if np.any(line):
-            nrm = self.line_normals[assoc["idx"][line]]
-            res = assoc["line_res"][line]
-            jac = np.column_stack([nrm, np.einsum("ni,ni->n", nrm, dtheta[line])])
-            w = cfg.huber.weights(np.abs(res))
-            h += np.einsum("n,ni,nj->ij", w, jac, jac)
-            g += np.einsum("n,ni,n->i", w, jac, res)
-        return h, g
+        nrm = line_normals[idx[line]]
+        res = line_res[line]
+        jac = np.column_stack([nrm, np.einsum("ni,ni->n", nrm, dtheta)])
+        w = cfg.huber.weights(np.abs(res))
+        h += np.einsum("n,ni,nj->ij", w, jac, jac)
+        g += np.einsum("n,ni,n->i", w, jac, res)
+    return h, g
 
 
 def matching_cost(reference: ProjectedScan, moving: ProjectedScan, pose: PlanarPose, config: MatcherConfig | None = None) -> float:
     """Normalized robust matching cost of a pose (diagnostic)."""
     cfg = config if config is not None else MatcherConfig()
-    problem = _MatchProblem(reference, moving, cfg)
-    return problem.associate(np.array([pose.x, pose.y, pose.theta]))["cost"]
+    return associate(reference, moving, np.array([pose.x, pose.y, pose.theta]), cfg)[0]
 
 
 def match_scans(
@@ -326,14 +330,13 @@ def match_scans(
     cfg = config if config is not None else MatcherConfig()
     if len(reference) < 2 or len(moving) < 2:
         raise DegenerateScanError("matching needs at least 2 points per scan")
-    problem = _MatchProblem(reference, moving, cfg)
     state = np.array([initial_guess.x, initial_guess.y, initial_guess.theta])
-    assoc = problem.associate(state)
-    cost = assoc["cost"]
+    assoc = associate(reference, moving, state, cfg)
+    cost = assoc[0]
     damping = cfg.initial_damping
     converged = False
     for _ in range(cfg.max_iterations):
-        h, g = problem.normal_equations(state, assoc)
+        h, g = normal_equations(reference, state, assoc, cfg)
         scale = np.diag(np.maximum(np.diag(h), 1e-12))
         try:
             step = np.linalg.solve(h + damping * scale, -g)
@@ -341,10 +344,10 @@ def match_scans(
             break
         candidate = state + step
         candidate[2] = wrap_angle(candidate[2])
-        cand_assoc = problem.associate(candidate)
+        cand_assoc = associate(reference, moving, candidate, cfg)
         small = float(np.linalg.norm(step)) < cfg.update_tolerance
-        if cand_assoc["cost"] <= cost:
-            state, assoc, cost = candidate, cand_assoc, cand_assoc["cost"]
+        if cand_assoc[0] <= cost:
+            state, assoc, cost = candidate, cand_assoc, cand_assoc[0]
             damping = max(damping * 0.1, 1e-12)
             converged = True  # survives loop exhaustion: cost still decreasing
             if small:
@@ -359,10 +362,11 @@ def match_scans(
             converged = False
             if damping > 1e10:
                 break
-    converged = converged and assoc["inliers"] >= cfg.min_inliers
+    inliers = int(np.count_nonzero(assoc[3]))
+    converged = converged and inliers >= cfg.min_inliers
     return MatchResult(
         relative_pose=PlanarPose(float(state[0]), float(state[1]), float(state[2])),
         final_cost=cost,
-        inlier_count=assoc["inliers"],
+        inlier_count=inliers,
         converged=converged,
     )

@@ -102,7 +102,6 @@ class WallCloud:
     positions: np.ndarray
     temperatures: np.ndarray
     source_distance: np.ndarray
-    node_id: int = 0
 
     def __post_init__(self) -> None:
         p = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -120,9 +119,7 @@ class WallCloud:
         return np.isfinite(self.temperatures)
 
     def copy(self) -> "WallCloud":
-        return WallCloud(
-            self.positions.copy(), self.temperatures.copy(), self.source_distance.copy(), self.node_id
-        )
+        return WallCloud(self.positions.copy(), self.temperatures.copy(), self.source_distance.copy())
 
 
 @dataclass(eq=False)
@@ -170,7 +167,7 @@ class Calibration:
         return ExtrusionConfig(self.sensor_height, self.floor_height, self.vertical_step)
 
 
-def extrude_walls(scan: ProjectedScan, config: ExtrusionConfig, node_id: int = 0) -> WallCloud:
+def extrude_walls(scan: ProjectedScan, config: ExtrusionConfig) -> WallCloud:
     """Replicate each projected wall point across the configured heights.
 
     Heights run from floor level (-sensor_height below the sensor plane)
@@ -185,12 +182,7 @@ def extrude_walls(scan: ProjectedScan, config: ExtrusionConfig, node_id: int = 0
     positions[:, 0] = np.repeat(pts[:, 0], levels)
     positions[:, 1] = np.repeat(pts[:, 1], levels)
     positions[:, 2] = np.tile(zs, n)
-    return WallCloud(
-        positions,
-        np.full(n * levels, np.nan),
-        np.full(n * levels, np.inf),
-        node_id=node_id,
-    )
+    return WallCloud(positions, np.full(n * levels, np.nan), np.full(n * levels, np.inf))
 
 
 def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

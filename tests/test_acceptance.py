@@ -14,6 +14,7 @@ import json
 import math
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ from thermoslam import (
     ThermalPointCloud,
     TrajectorySpec,
     Vec3,
-    WallCloud,
     WallSegment,
     accumulate_maturity,
     compose,
@@ -168,21 +168,46 @@ def test_criterion_02_scan_match_agrees_with_grid_search():
     occupied = np.ones(shape, dtype=bool)
     idx = np.round((dense - lo) / cell).astype(int)
     occupied[idx[:, 0], idx[:, 1]] = False
-    edt = ndimage.distance_transform_edt(occupied, sampling=cell).astype(np.float32)
+
+    # The field is built in row blocks on two threads. Each block's EDT sees
+    # `pad` rows beyond its own, so a value below pad * cell equals the
+    # whole-grid EDT: any feature outside the padded rows is farther away.
+    # Larger values are set to inf, and the finite-cost assertion below
+    # proves the search read only exact values.
+    pad = 100
+    bounds = np.linspace(0, shape[0], 5).astype(int)
+    edt = np.empty(shape, dtype=np.float32)
+
+    def edt_rows(a, b):
+        top, bottom = max(a - pad, 0), min(b + pad, shape[0])
+        block = ndimage.distance_transform_edt(occupied[top:bottom], sampling=cell)[a - top : b - top]
+        edt[a:b] = np.where(block < pad * cell, block, np.inf)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(edt_rows, bounds[:-1], bounds[1:]))
 
     steps = np.arange(-30, 31)
     dxs = truth.x + steps * 0.001
     dys = truth.y + steps * 0.001
     dths = truth.theta + np.radians(steps * 0.01)
-    xy_grid = np.stack(np.meshgrid(dxs, dys, indexing="ij"), axis=-1).reshape(-1, 2)
     cost = np.empty((61, 61, 61))
-    for k, th in enumerate(dths):
+
+    def search_angle(k):
+        # Grid coordinates of every moved point for each (dx, dy), laid out
+        # as (axis, dx, dy, point); x depends on dx only and y on dy only.
+        th = dths[k]
         c, s = math.cos(th), math.sin(th)
         base = mov.points_xy @ np.array([[c, -s], [s, c]]).T
-        pos = base[None, :, :] + xy_grid[:, None, :]
-        coords = (pos.reshape(-1, 2) - lo) / cell
-        d = ndimage.map_coordinates(edt, coords.T, order=1, mode="nearest")
-        cost[k] = (d.reshape(len(xy_grid), -1) ** 2).mean(axis=1).reshape(61, 61)
+        gx = ((base[None, :, 0] + dxs[:, None]) - lo[0]) / cell
+        gy = ((base[None, :, 1] + dys[:, None]) - lo[1]) / cell
+        n = len(base)
+        coords = np.stack([np.broadcast_to(gx[:, None, :], (61, 61, n)), np.broadcast_to(gy[None, :, :], (61, 61, n))])
+        d = ndimage.map_coordinates(edt, coords.reshape(2, -1), order=1, mode="nearest")
+        cost[k] = (d.reshape(61 * 61, n) ** 2).mean(axis=1).reshape(61, 61)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(search_angle, range(61)))
+    assert np.isfinite(cost).all()
     ith, ix, iy = np.unravel_index(np.argmin(cost), cost.shape)
 
     # The exhaustive minimum sits on the true displacement (within grid
@@ -270,8 +295,7 @@ def test_criterion_04_loop_closure_vs_dense_least_squares():
     for m in measured:
         init.append(compose(init[-1], m))
 
-    cloud = WallCloud(np.array([[0.0, 0.0, 0.0]]), np.array([20.0]), np.array([1.0]))
-    nodes = [GraphNode(k, init[k], cloud) for k in range(20)]
+    nodes = [GraphNode(k, init[k]) for k in range(20)]
     edges = [GraphEdge(k, k + 1, measured[k]) for k in range(19)]
     edges.append(GraphEdge(0, 19, compose(inverse(true_poses[0]), true_poses[19]), kind="loop_closure"))
     weights = SolverWeights(translation=5.0, rotation=400.0)

@@ -497,12 +497,17 @@ def test_cli_map_bad_inputs(tmp_path, capsys):
 
     session = tmp_path / "session"
     save_session(_small_dataset(), session)
-    # Keys of the removed point-pair refinement are rejected, not ignored.
+    # Keys of the removed point-pair refinement and of the fixed normal
+    # neighborhood and zero-range threshold are rejected, not ignored.
     for k, (key, config) in enumerate(
         [
             ("delta", {"matcher": {"delta": 1.0}}),
             ("refine_rounds", {"refine_rounds": 3}),
             ("thermal", {"weights": {"thermal": 1.0}}),
+            ("min_point_norm", {"matcher": {"min_point_norm": 1e-6}}),
+            ("normal_neighbors", {"matcher": {"normal_neighbors": 10}}),
+            ("normal_radius", {"matcher": {"normal_radius": 0.4}}),
+            ("normal_flatness", {"matcher": {"normal_flatness": 0.05}}),
         ]
     ):
         bad_cfg = _write_json(tmp_path / f"cfg{k}.json", config)

@@ -13,17 +13,12 @@ from thermoslam import (
     PoseGraph,
     ProjectedScan,
     SolverWeights,
-    WallCloud,
     compose,
     detect_loop_closures,
     inverse,
     optimize,
 )
 from thermoslam.pose_graph import objective, relative_pose_residual
-
-
-def _tiny_cloud() -> WallCloud:
-    return WallCloud([[0.0, 0.0, 0.0]], [20.0], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +39,13 @@ def test_graph_edge_validation():
 
 
 def test_pose_graph_validation_and_lookup():
-    nodes = [GraphNode(0, PlanarPose(), _tiny_cloud()), GraphNode(1, PlanarPose(), _tiny_cloud())]
+    nodes = [GraphNode(0, PlanarPose()), GraphNode(1, PlanarPose())]
     graph = PoseGraph(nodes, [GraphEdge(0, 1, PlanarPose())])
     assert graph.node(1) is nodes[1]
     with pytest.raises(KeyError):
         graph.node(7)
     with pytest.raises(ValueError):
-        PoseGraph([GraphNode(0, PlanarPose(), _tiny_cloud())] * 2, [])
+        PoseGraph([GraphNode(0, PlanarPose())] * 2, [])
     with pytest.raises(ValueError):
         PoseGraph(nodes, [GraphEdge(0, 9, PlanarPose())])
 
@@ -106,7 +101,7 @@ def _chain_graph(n: int = 5, perturb: float = 0.0, seed: int = 0):
     init = [PlanarPose()]
     for edge in edges:
         init.append(compose(init[-1], edge.measured))
-    nodes = [GraphNode(k, init[k], _tiny_cloud()) for k in range(n)]
+    nodes = [GraphNode(k, init[k]) for k in range(n)]
     return PoseGraph(nodes, edges), truth
 
 
@@ -151,11 +146,11 @@ def test_optimize_improves_noisy_loop():
 
 
 def test_optimize_requires_anchor_and_connectivity():
-    nodes = [GraphNode(1, PlanarPose(), _tiny_cloud()), GraphNode(2, PlanarPose(), _tiny_cloud())]
+    nodes = [GraphNode(1, PlanarPose()), GraphNode(2, PlanarPose())]
     with pytest.raises(ValueError):
         optimize(PoseGraph(nodes, [GraphEdge(1, 2, PlanarPose())]))
     disconnected = PoseGraph(
-        [GraphNode(k, PlanarPose(), _tiny_cloud()) for k in range(3)],
+        [GraphNode(k, PlanarPose()) for k in range(3)],
         [GraphEdge(0, 1, PlanarPose())],
     )
     with pytest.raises(DisconnectedGraphError):
@@ -163,7 +158,7 @@ def test_optimize_requires_anchor_and_connectivity():
 
 
 def test_optimize_single_node_graph():
-    graph = PoseGraph([GraphNode(0, PlanarPose(1.0, 2.0, 0.5), _tiny_cloud())], [])
+    graph = PoseGraph([GraphNode(0, PlanarPose(1.0, 2.0, 0.5))], [])
     result = optimize(graph)
     assert result.converged
     assert result.iterations == 0

@@ -233,6 +233,40 @@ def test_matching_cost_saturates_at_distance_gate():
     assert cost == pytest.approx(gate)
 
 
+def test_match_scans_keeps_guess_when_reference_has_no_line_points():
+    # 12 points on a 5 m circle lie about 2.6 m apart: no point has the 3
+    # neighbors within 0.3 m a normal needs, so the reference has no lines.
+    cfg = MatcherConfig()
+    a = np.arange(12) * (2.0 * math.pi / 12)
+    ref = ProjectedScan(0, 5.0 * np.column_stack([np.cos(a), np.sin(a)]))
+    mov = ProjectedScan(1, _square_points(120))
+    guess = PlanarPose(0.3, -0.2, 0.1)
+    result = match_scans(ref, mov, initial_guess=guess, config=cfg)
+    assert not result.converged
+    assert result.inlier_count == 0
+    assert result.relative_pose == guess
+    saturated = cfg.huber.values(np.array([cfg.distance_gate]))[0]
+    assert result.final_cost == matching_cost(ref, mov, guess, cfg) == saturated
+
+
+def test_each_scan_estimates_normals_once(monkeypatch):
+    calls = []
+
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return estimate_normals(points, *args, **kwargs)
+
+    monkeypatch.setattr("thermoslam.scan_frontend.estimate_normals", counting)
+    truth = PlanarPose(0.06, 0.02, math.radians(1.5))
+    ref = ProjectedScan(0, _square_points(240))
+    mov = ProjectedScan(1, _displaced_copy(_square_points(240, phase=0.001), truth))
+    first = match_scans(ref, mov)
+    second = match_scans(ref, mov, initial_guess=truth)
+    matching_cost(ref, mov, truth)
+    assert first.converged and second.converged
+    assert calls == [240, 240]
+
+
 def test_match_scans_rejects_tiny_scans():
     with pytest.raises(DegenerateScanError):
         match_scans(ProjectedScan(0, [[0.0, 1.0]]), ProjectedScan(1, _square_points(10)))

@@ -58,10 +58,9 @@ def test_extrusion_config_validation():
 def test_extrude_walls_replicates_xy_exactly():
     scan = ProjectedScan(7, [[1.25, -0.5], [2.0, 3.0], [0.1, 0.2]])
     cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=0.5)
-    cloud = extrude_walls(scan, cfg, node_id=4)
+    cloud = extrude_walls(scan, cfg)
     levels = cfg.heights().size
     assert len(cloud) == 3 * levels
-    assert cloud.node_id == 4
     # Column k holds the k-th source point at every height, xy untouched.
     assert np.array_equal(cloud.positions[:levels, 0], np.full(levels, 1.25))
     assert np.array_equal(cloud.positions[:levels, 1], np.full(levels, -0.5))
