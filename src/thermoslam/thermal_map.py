@@ -261,11 +261,26 @@ def project_to_thermal(
 def voxel_thin(positions: np.ndarray, temperatures: np.ndarray, voxel_size: float) -> tuple[np.ndarray, np.ndarray]:
     """Average points into a voxel grid; deterministic (sorted voxel keys).
 
+    Voxels come out in lexicographic (x, y, z) order of their integer
+    indices floor(position / voxel_size). Each point's index, shifted to
+    the minimum over the cloud, is packed into one int64 key that rises
+    with that order, so the box of voxel indices the cloud spans must hold
+    fewer than 2**63 cells; a wider cloud raises ValueError.
+
     Voxel position is the mean of its member positions; voxel temperature
     is the mean of member temperatures that are set, NaN if none are.
     """
+    if positions.shape[0] == 0:
+        return np.empty((0, 3)), np.empty(0)
     keys = np.floor(positions / voxel_size).astype(np.int64)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    # Python ints, so neither the spans nor their product can wrap.
+    low = keys.min(axis=0)
+    span = [int(hi) - int(lo) + 1 for lo, hi in zip(low, keys.max(axis=0))]
+    if span[0] * span[1] * span[2] >= 2**63:
+        raise ValueError("voxel index range too large to pack into int64")
+    keys -= low
+    packed = (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]
+    uniq, inv = np.unique(packed, return_inverse=True)
     k = uniq.shape[0]
     counts = np.bincount(inv, minlength=k).astype(float)
     pos = np.empty((k, 3))

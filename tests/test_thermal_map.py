@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import thermoslam.thermal_map as thermal_map
 from thermoslam import (
     Calibration,
     CameraIntrinsics,
@@ -219,6 +220,73 @@ def test_voxel_thin_is_order_insensitive():
     pos_b, t_b = voxel_thin(positions[perm], temps[perm], 0.25)
     assert np.allclose(pos_a, pos_b, atol=1e-12)
     assert np.allclose(t_a, t_b, atol=1e-12, equal_nan=True)
+
+
+def _voxel_thin_rowwise(positions, temperatures, voxel_size):
+    """Reference: voxel order from np.unique over the (x, y, z) index rows."""
+    keys = np.floor(positions / voxel_size).astype(np.int64)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    k = uniq.shape[0]
+    counts = np.bincount(inv, minlength=k).astype(float)
+    pos = np.empty((k, 3))
+    for axis in range(3):
+        pos[:, axis] = np.bincount(inv, weights=positions[:, axis], minlength=k) / counts
+    has_t = np.isfinite(temperatures)
+    t_counts = np.bincount(inv[has_t], minlength=k).astype(float)
+    t_sums = np.bincount(inv[has_t], weights=temperatures[has_t], minlength=k)
+    with np.errstate(invalid="ignore"):
+        temps = np.where(t_counts > 0, t_sums / np.maximum(t_counts, 1.0), np.nan)
+    return pos, temps
+
+
+@pytest.mark.parametrize("voxel_size", [0.05, 0.2, 0.25, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_voxel_thin_matches_rowwise_reference_bit_for_bit(voxel_size, seed):
+    rng = np.random.default_rng(seed)
+    n = 4000
+    positions = rng.uniform(-3.0, 2.0, (n, 3)) * [1.0, 1.5, 0.6]
+    # A quarter of the points sit exactly on voxel faces, negative ones included.
+    on_face = rng.uniform(size=n) < 0.25
+    positions[on_face] = rng.integers(-20, 20, (int(on_face.sum()), 3)) * voxel_size
+    temps = np.where(rng.uniform(size=n) < 0.3, np.nan, rng.uniform(10.0, 40.0, n))
+    pos, t = voxel_thin(positions, temps, voxel_size)
+    ref_pos, ref_t = _voxel_thin_rowwise(positions, temps, voxel_size)
+    assert 1 < pos.shape[0] < n
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(t, ref_t, equal_nan=True)
+
+
+def test_voxel_thin_empty_input_matches_reference():
+    empty_p, empty_t = np.empty((0, 3)), np.empty(0)
+    pos, t = voxel_thin(empty_p, empty_t, 0.05)
+    ref_pos, ref_t = _voxel_thin_rowwise(empty_p, empty_t, 0.05)
+    assert pos.shape == ref_pos.shape == (0, 3)
+    assert t.shape == ref_t.shape == (0,)
+
+
+def test_voxel_thin_rejects_key_range_beyond_int64():
+    positions = np.array([[0.0, 0.0, 0.0], [1e17, 1e17, 1e17]])
+    with pytest.raises(ValueError, match="int64"):
+        voxel_thin(positions, np.array([20.0, 21.0]), voxel_size=1.0)
+
+
+def test_accumulate_map_calls_voxel_thin_through_module(monkeypatch):
+    # The benchmark's tracer times fusion by wrapping thermal_map.voxel_thin.
+    calls = []
+    original = thermal_map.voxel_thin
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(thermal_map, "voxel_thin", counting)
+    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=1.0)
+    cloud = WallCloud([[1.0, 0.0, 0.0], [1.01, 0.0, 0.0]], [20.0, 22.0], [1.0, 1.0])
+    out = accumulate_map([cloud], [PlanarPose()], cfg, voxel_size=0.05)
+    assert calls == [2]
+    assert out.positions.shape == (1, 3)
+    accumulate_map([cloud], [PlanarPose()], cfg, voxel_size=None)
+    assert calls == [2]
 
 
 def test_accumulate_map_lifts_by_sensor_height():
