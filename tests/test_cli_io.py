@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shutil
@@ -407,6 +408,63 @@ def test_report_roundtrip(tmp_path):
         "converged": "true",
         "note": "fine",
     }
+
+
+def _pinned_session() -> SessionDataset:
+    calib = _small_calib()
+    ramp = np.arange(48.0).reshape(6, 8)
+    return SessionDataset(
+        scans=[
+            Scan2D(1_000_000_000, -math.pi, 0.25, [1.5, math.nan, 2.125, 0.1]),
+            Scan2D(1_100_000_000, -3.0, 0.125, [3.0, 0.7, math.nan, 1e-3]),
+        ],
+        imu=[
+            ImuSample(1_000_000_000, Vec3(0.03, -0.01, -9.81)),
+            ImuSample(1_010_000_000, Vec3(0.0, 0.125, -9.8)),
+        ],
+        frames=[ThermalImage(1_000_000_000, 20.0 + 0.37 * ramp), ThermalImage(1_500_000_000, 15.5 + 0.01 * ramp)],
+        calib=calib,
+        ground_truth=[(1_000_000_000, PlanarPose(1.0, 0.8, 0.0)), (1_100_000_000, PlanarPose(1.05, 0.8, 0.1))],
+    )
+
+
+# sha256 of every file the writers produce for the fixed inputs above.
+PINNED_SHA256 = {
+    "colored.ply": "1e251ceb2c80ecf7d305ad9283586ab9b7e998044131c70bfd688c2f8baf2543",
+    "deltas.csv": "a7c981d0e1176648a9f6078a4c24ade714f322f4a5da31a4260a4455c0cfd4c7",
+    "map.ply": "28426fceb6f561f423d68b14053c59556d3805699689882bf75d9721a14dda69",
+    "report.txt": "498545616bd3f1ccf56cac9488df4b14c044f9c1b14918b50c6e0f96dafc589a",
+    "series.csv": "2acc06e19d5c13a414817baaccd4c971ec581a28b2a51796546f23b6ae2db1b6",
+    "session/calib.txt": "9c5bfeeaaaf1f85b453a6b545b75ef8c8e51fd8dbb4479926110962b722bde86",
+    "session/groundtruth.csv": "80de777f1ed5647a8cdbe54b08534e9f0212f831eb8cfe5c9af270058e8040d1",
+    "session/imu.csv": "83e3d523547bb5c483287c6c5d7671cfdb90b0b48196077910d6a148a6b678a8",
+    "session/scans.csv": "b0a4e49f10b2d1e4369eacff7f70217c9fa4ae800d3d1a09126e9cffb18dfc96",
+    "session/thermal/frame_000000.pgm": "afaa8897cbdac977bc5312277f25cb95ef187ce46f001441bf5b68ca5568f9a1",
+    "session/thermal/frame_000001.pgm": "9d4f9999a5d51e17778075d64a521bac511395ca853994b3a0d364c6aa92cfc7",
+    "session/thermal/index.csv": "57415bc79493981943fb7d30849babdf94ba17280d29cbe9461203c50773ac1b",
+}
+
+
+def test_writers_pin_bytes(tmp_path):
+    save_session(_pinned_session(), tmp_path / "session")
+    positions = np.column_stack([np.linspace(-1.0, 2.0, 9), np.linspace(0.5, 3.5, 9) ** 2 / 3.0, np.linspace(0.0, 3.0, 9)])
+    temperatures = np.linspace(5.0, 45.0, 9)
+    temperatures[::4] = math.nan
+    cloud = ThermalPointCloud(positions, temperatures, session_stamp=1_000_000_000)
+    export_ply(cloud, tmp_path / "map.ply")
+    export_colored_view(cloud, tmp_path / "colored.ply")
+    write_report(
+        tmp_path / "report.txt",
+        {"points": 42, "ate_m": 0.125, "converged": True, "no_overlap": False, "note": "fine", "mean_dt_c": 1 / 3, "unset": math.nan},
+    )
+    write_delta_csv(tmp_path / "deltas.csv", positions[:3], np.array([0.5, -1.25, 1 / 3]))
+    write_series_csv(tmp_path / "series.csv", [(0.0, "epoch0.ply"), (12.5, "epoch1.ply"), (24.0 + 1 / 3, "epoch2.ply")])
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert digests == PINNED_SHA256
 
 
 def test_write_delta_csv_layout(tmp_path):
