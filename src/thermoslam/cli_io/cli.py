@@ -231,7 +231,7 @@ def _cmd_maturity(args: argparse.Namespace) -> int:
     _, nearest = cKDTree(first_cloud.positions).query(centers)
     first_positions = first_cloud.positions[np.unique(nearest)]
     records = [
-        MaturityRecord(position=Vec3(*pos), datum_temperature=args.datum) for pos in first_positions
+        MaturityRecord(position=Vec3.from_array(pos), datum_temperature=args.datum) for pos in first_positions
     ]
     for time_h, cloud in sessions:
         tree = cKDTree(cloud.positions)

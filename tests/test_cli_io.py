@@ -632,4 +632,11 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert int(summary["rate_violations"]) == 0
     points_csv = tmp_path / "maturity_points.csv"
     assert points_csv.is_file()
-    assert points_csv.read_text().splitlines()[0] == "x,y,z,samples,maturity_ch,violations"
+    rows = points_csv.read_text().splitlines()
+    assert rows[0] == "x,y,z,samples,maturity_ch,violations"
+    # Every monitored position is a map point, written as plain numbers.
+    map_points = {tuple(p) for p in read_ply(series / "epoch0.ply").positions}
+    for row in rows[1:]:
+        x, y, z, samples, maturity, violations = row.split(",")
+        assert (float(x), float(y), float(z)) in map_points
+        assert int(samples) == 2 and float(maturity) > 0.0 and int(violations) == 0
