@@ -260,13 +260,10 @@ def _cmd_maturity(args: argparse.Namespace) -> int:
             "rate_violations": total_violations,
         },
     )
-    lines = ["x,y,z,samples,maturity_ch,violations"]
-    for r in records:
-        v = len(violations.get(id(r), []))
-        lines.append(
-            f"{r.position.x!r},{r.position.y!r},{r.position.z!r},{len(r.samples)},{r.maturity!r},{v}"
-        )
-    formats.atomic_write_bytes(out.parent / (out.stem + "_points.csv"), ("\n".join(lines) + "\n").encode("ascii"))
+    formats.write_maturity_points_csv(
+        out.parent / (out.stem + "_points.csv"),
+        [(r.position, len(r.samples), r.maturity, len(violations.get(id(r), []))) for r in records],
+    )
     print(f"maturity over {len(sessions)} sessions, {len(tracked)} tracked positions -> {out}")
     return 0
 

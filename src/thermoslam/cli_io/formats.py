@@ -3,10 +3,10 @@
 A session directory holds scans.csv, imu.csv, thermal/index.csv plus one
 16-bit PGM per thermal frame, calib.txt, and optionally groundtruth.csv.
 Maps are binary little-endian PLY with temperature in the intensity
-channel. Every writer here has a matching reader; write -> read -> write
-is byte-identical. All floats are serialized with repr() so values
-round-trip exactly; all writes go through a temp file and an atomic
-rename.
+channel. Every writer except the delta and maturity points tables has a
+matching reader; write -> read -> write is byte-identical. All floats are
+serialized with repr() so values round-trip exactly; all writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,60 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
+def _write_lines(path: Path, lines: list[str], tail: bytes = b"") -> None:
+    """ASCII lines, each ending in a newline, then tail; written atomically."""
+    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii") + tail)
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise _fail(path, None, str(exc)) from None
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="ascii")
+    except OSError as exc:
+        raise _fail(path, None, str(exc)) from None
+    except UnicodeDecodeError:
+        raise _fail(path, None, "not an ASCII text file") from None
+
+
+def _read_table(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each row below an exact header line.
+
+    Every row must be non-blank and have as many comma-separated fields
+    as the header, so data row k (from 0) is on line k + 2.
+    """
+    rows = _read_text(path).splitlines()
+    if not rows or rows[0] != header:
+        raise _fail(path, 1, f"expected header {header!r}")
+    columns = header.count(",") + 1
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            raise _fail(path, lineno, "blank line")
+        fields = row.split(",")
+        if len(fields) != columns:
+            raise _fail(path, lineno, f"expected {columns} columns, got {len(fields)}")
+        yield lineno, fields
+
+
+def _check_stamps(path: Path, stamps: list[int]) -> None:
+    """The stamps of a table read by _read_table, one per data row, in order."""
+    for k in range(1, len(stamps)):
+        if stamps[k] < stamps[k - 1]:
+            raise _fail(path, k + 2, f"timestamp {stamps[k]} goes backwards (previous {stamps[k - 1]})")
+
+
+def _bare_name(name: str, path: Path, line: int, what: str) -> str:
+    """A file name that stays inside the directory of the table naming it."""
+    if not name or "/" in name or "\\" in name or name.startswith("."):
+        raise _fail(path, line, f"bad {what} file name {name!r}")
+    return name
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -92,12 +147,6 @@ def _parse_int(token: str, path: Path, line: int, what: str) -> int:
         raise _fail(path, line, f"bad {what}: {token!r}") from None
 
 
-def _check_monotonic(stamps: list[int], path: Path, lines: list[int]) -> None:
-    for k in range(1, len(stamps)):
-        if stamps[k] < stamps[k - 1]:
-            raise _fail(path, lines[k], f"timestamp {stamps[k]} goes backwards (previous {stamps[k - 1]})")
-
-
 # ---------------------------------------------------------------------------
 # Range scans.
 
@@ -107,48 +156,24 @@ SCANS_HEADER = "stamp_ns,angle_min,angle_increment,ranges"
 def write_scans_csv(path: Path, scans: list[Scan2D]) -> None:
     lines = [SCANS_HEADER]
     for scan in scans:
-        ranges = ";".join("nan" if math.isnan(r) else _fmt(r) for r in scan.ranges)
+        ranges = ";".join(_fmt(r) for r in scan.ranges)
         lines.append(f"{scan.stamp},{_fmt(scan.angle_min)},{_fmt(scan.angle_increment)},{ranges}")
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
 
 
 def read_scans_csv(path: Path) -> list[Scan2D]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
-    rows = text.splitlines()
-    if not rows or rows[0] != SCANS_HEADER:
-        raise _fail(path, 1, f"expected header {SCANS_HEADER!r}")
     scans: list[Scan2D] = []
-    stamps: list[int] = []
-    line_numbers: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            raise _fail(path, lineno, "blank line")
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise _fail(path, lineno, f"expected 4 columns, got {len(parts)}")
-        stamp = _parse_int(parts[0], path, lineno, "stamp_ns")
-        angle_min = _parse_float(parts[1], path, lineno, "angle_min")
-        angle_increment = _parse_float(parts[2], path, lineno, "angle_increment")
-        tokens = parts[3].split(";")
-        ranges = np.empty(len(tokens))
-        for k, token in enumerate(tokens):
-            if token == "nan":
-                ranges[k] = math.nan
-            else:
-                ranges[k] = _parse_float(token, path, lineno, "range")
+    for lineno, (stamp, angle_min, angle_increment, ranges) in _read_table(path, SCANS_HEADER):
+        stamp = _parse_int(stamp, path, lineno, "stamp_ns")
+        angle_min = _parse_float(angle_min, path, lineno, "angle_min")
+        angle_increment = _parse_float(angle_increment, path, lineno, "angle_increment")
+        values = [math.nan if t == "nan" else _parse_float(t, path, lineno, "range") for t in ranges.split(";")]
         try:
-            scans.append(Scan2D(stamp, angle_min, angle_increment, ranges))
+            scans.append(Scan2D(stamp, angle_min, angle_increment, values))
         except ValueError as exc:
             raise _fail(path, lineno, str(exc)) from None
-        stamps.append(stamp)
-        line_numbers.append(lineno)
-    _check_monotonic(stamps, path, line_numbers)
+    _check_stamps(path, [scan.stamp for scan in scans])
     return scans
 
 
@@ -162,38 +187,22 @@ def write_imu_csv(path: Path, samples: list[ImuSample]) -> None:
     lines = [IMU_HEADER]
     for s in samples:
         lines.append(f"{s.stamp},{_fmt(s.accel.x)},{_fmt(s.accel.y)},{_fmt(s.accel.z)}")
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
 
 
 def read_imu_csv(path: Path) -> list[ImuSample]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
-    rows = text.splitlines()
-    if not rows or rows[0] != IMU_HEADER:
-        raise _fail(path, 1, f"expected header {IMU_HEADER!r}")
     samples: list[ImuSample] = []
-    stamps: list[int] = []
-    line_numbers: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise _fail(path, lineno, f"expected 4 columns, got {len(parts)}")
-        stamp = _parse_int(parts[0], path, lineno, "stamp_ns")
-        ax = _parse_float(parts[1], path, lineno, "ax")
-        ay = _parse_float(parts[2], path, lineno, "ay")
-        az = _parse_float(parts[3], path, lineno, "az")
+    for lineno, (stamp, ax, ay, az) in _read_table(path, IMU_HEADER):
+        stamp = _parse_int(stamp, path, lineno, "stamp_ns")
+        ax = _parse_float(ax, path, lineno, "ax")
+        ay = _parse_float(ay, path, lineno, "ay")
+        az = _parse_float(az, path, lineno, "az")
         try:
             samples.append(ImuSample(stamp, Vec3(ax, ay, az)))
         except ValueError as exc:
             raise _fail(path, lineno, str(exc)) from None
-        stamps.append(stamp)
-        line_numbers.append(lineno)
-    _check_monotonic(stamps, path, line_numbers)
+    _check_stamps(path, [s.stamp for s in samples])
     return samples
 
 
@@ -212,16 +221,12 @@ def write_pgm16(path: Path, raw: np.ndarray) -> None:
     if raw.dtype.kind not in "ui" or raw.min() < 0 or raw.max() > PGM_MAXVAL:
         raise ValueError("PGM samples must be integers in [0, 65535]")
     h, w = raw.shape
-    header = f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii")
-    atomic_write_bytes(Path(path), header + raw.astype(">u2").tobytes())
+    _write_lines(path, ["P5", f"{w} {h}", str(PGM_MAXVAL)], raw.astype(">u2").tobytes())
 
 
 def read_pgm16(path: Path) -> np.ndarray:
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
+    blob = _read_bytes(path)
     # Header: magic, width, height, maxval as ASCII tokens, one trailing
     # whitespace byte, then big-endian samples.
     tokens: list[bytes] = []
@@ -271,41 +276,22 @@ def write_thermal_frames(session_dir: Path, frames: list[ThermalImage], calib: C
         raw = temperatures_to_raw(frame.temperatures, calib.thermal_scale, calib.thermal_offset)
         write_pgm16(thermal_dir / name, raw)
         lines.append(f"{frame.stamp},{name}")
-    atomic_write_bytes(thermal_dir / THERMAL_INDEX, ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(thermal_dir / THERMAL_INDEX, lines)
 
 
 def read_thermal_frames(session_dir: Path, calib: Calibration) -> list[ThermalImage]:
     thermal_dir = Path(session_dir) / THERMAL_DIR
     index = thermal_dir / THERMAL_INDEX
-    try:
-        text = index.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{index}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(index, None, "not an ASCII text file") from None
-    rows = text.splitlines()
-    if not rows or rows[0] != THERMAL_HEADER:
-        raise _fail(index, 1, f"expected header {THERMAL_HEADER!r}")
     frames: list[ThermalImage] = []
-    stamps: list[int] = []
-    line_numbers: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise _fail(index, lineno, f"expected 2 columns, got {len(parts)}")
-        stamp = _parse_int(parts[0], index, lineno, "stamp_ns")
-        name = parts[1]
-        if not name or "/" in name or "\\" in name or name.startswith("."):
-            raise _fail(index, lineno, f"bad frame file name {name!r}")
-        raw = read_pgm16(thermal_dir / name)
-        temps = raw_to_temperatures(raw, calib.thermal_scale, calib.thermal_offset)
+    for lineno, (stamp, name) in _read_table(index, THERMAL_HEADER):
+        stamp = _parse_int(stamp, index, lineno, "stamp_ns")
+        frame_path = thermal_dir / _bare_name(name, index, lineno, "frame")
+        temps = raw_to_temperatures(read_pgm16(frame_path), calib.thermal_scale, calib.thermal_offset)
         try:
             frames.append(ThermalImage(stamp, temps))
         except ValueError as exc:
-            raise _fail(thermal_dir / name, None, str(exc)) from None
-        stamps.append(stamp)
-        line_numbers.append(lineno)
-    _check_monotonic(stamps, index, line_numbers)
+            raise _fail(frame_path, None, str(exc)) from None
+    _check_stamps(index, [frame.stamp for frame in frames])
     return frames
 
 
@@ -330,19 +316,13 @@ def write_calib(path: Path, calib: Calibration) -> None:
         f"thermal_scale={_fmt(calib.thermal_scale)}",
         f"thermal_offset={_fmt(calib.thermal_offset)}",
     ]
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
 
 
 def read_calib(path: Path) -> Calibration:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
     values: dict[str, str] = {}
-    for lineno, row in enumerate(text.splitlines(), start=1):
+    for lineno, row in enumerate(_read_text(path).splitlines(), start=1):
         if not row.strip():
             continue
         if "=" not in row:
@@ -401,35 +381,19 @@ def write_trajectory_csv(path: Path, trajectory: list[tuple[Timestamp, PlanarPos
     lines = [TRAJECTORY_HEADER]
     for stamp, pose in trajectory:
         lines.append(f"{int(stamp)},{_fmt(pose.x)},{_fmt(pose.y)},{_fmt(pose.theta)}")
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
 
 
 def read_trajectory_csv(path: Path) -> list[tuple[Timestamp, PlanarPose]]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
-    rows = text.splitlines()
-    if not rows or rows[0] != TRAJECTORY_HEADER:
-        raise _fail(path, 1, f"expected header {TRAJECTORY_HEADER!r}")
     out: list[tuple[Timestamp, PlanarPose]] = []
-    stamps: list[int] = []
-    line_numbers: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise _fail(path, lineno, f"expected 4 columns, got {len(parts)}")
-        stamp = _parse_int(parts[0], path, lineno, "stamp_ns")
-        x = _parse_float(parts[1], path, lineno, "x")
-        y = _parse_float(parts[2], path, lineno, "y")
-        theta = _parse_float(parts[3], path, lineno, "theta_z")
+    for lineno, (stamp, x, y, theta) in _read_table(path, TRAJECTORY_HEADER):
+        stamp = _parse_int(stamp, path, lineno, "stamp_ns")
+        x = _parse_float(x, path, lineno, "x")
+        y = _parse_float(y, path, lineno, "y")
+        theta = _parse_float(theta, path, lineno, "theta_z")
         out.append((stamp, PlanarPose(x, y, theta)))
-        stamps.append(stamp)
-        line_numbers.append(lineno)
-    _check_monotonic(stamps, path, line_numbers)
+    _check_stamps(path, [stamp for stamp, _ in out])
     return out
 
 
@@ -470,22 +434,45 @@ def load_session(session_dir: Path) -> SessionDataset:
 # ---------------------------------------------------------------------------
 # PLY maps.
 
+# Vertex properties in file order: a map has the first four, the colored
+# view all seven. This list drives the header, the vertex dtype and the
+# layouts read_ply accepts.
+_PLY_PROPERTIES = (
+    ("float", "x"),
+    ("float", "y"),
+    ("float", "z"),
+    ("float", "intensity"),
+    ("uchar", "red"),
+    ("uchar", "green"),
+    ("uchar", "blue"),
+)
+_PLY_LAYOUTS = (_PLY_PROPERTIES[:4], _PLY_PROPERTIES)
+_PLY_TYPES = {"float": "<f4", "uchar": "u1"}
 
-def _ply_header(count: int, session_stamp: int, colored: bool) -> bytes:
-    lines = [
+
+def _vertex_dtype(props: tuple[tuple[str, str], ...]) -> np.dtype:
+    return np.dtype([(name, _PLY_TYPES[kind]) for kind, name in props])
+
+
+def _write_ply(path: Path, cloud: ThermalPointCloud, *extra: np.ndarray) -> None:
+    """One vertex per point: x, y, z, intensity, then the extra columns."""
+    n = len(cloud)
+    if n == 0:
+        raise ValueError("refusing to export an empty cloud")
+    columns = [*cloud.positions.T, cloud.temperatures, *extra]
+    props = _PLY_PROPERTIES[: len(columns)]
+    data = np.empty(n, dtype=_vertex_dtype(props))
+    for (_, name), column in zip(props, columns):
+        data[name] = column
+    header = [
         "ply",
         "format binary_little_endian 1.0",
-        f"comment session_unix_ns {int(session_stamp)}",
-        f"element vertex {count}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property float intensity",
+        f"comment session_unix_ns {int(cloud.session_stamp)}",
+        f"element vertex {n}",
+        *(f"property {kind} {name}" for kind, name in props),
+        "end_header",
     ]
-    if colored:
-        lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    lines.append("end_header")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    _write_lines(path, header, data.tobytes())
 
 
 def export_ply(cloud: ThermalPointCloud, path: Path) -> None:
@@ -494,13 +481,7 @@ def export_ply(cloud: ThermalPointCloud, path: Path) -> None:
     Temperature rides the intensity property. Unset temperatures are
     written as NaN intensity.
     """
-    n = len(cloud)
-    if n == 0:
-        raise ValueError("refusing to export an empty cloud")
-    data = np.empty((n, 4), dtype="<f4")
-    data[:, :3] = cloud.positions
-    data[:, 3] = cloud.temperatures
-    atomic_write_bytes(Path(path), _ply_header(n, cloud.session_stamp, colored=False) + data.tobytes())
+    _write_ply(path, cloud)
 
 
 RAINBOW_ANCHORS = np.array(
@@ -538,34 +519,17 @@ def rainbow_rgb(temperatures: np.ndarray, t_min: float = 10.0, t_max: float = 40
 
 def export_colored_view(cloud: ThermalPointCloud, path: Path, t_min: float = 10.0, t_max: float = 40.0) -> None:
     """PLY with rainbow red/green/blue channels appended to each vertex."""
-    n = len(cloud)
-    if n == 0:
-        raise ValueError("refusing to export an empty cloud")
-    rgb = rainbow_rgb(cloud.temperatures, t_min, t_max)
-    vertex = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("intensity", "<f4"),
-                       ("red", "u1"), ("green", "u1"), ("blue", "u1")])
-    data = np.empty(n, dtype=vertex)
-    data["x"], data["y"], data["z"] = cloud.positions.T.astype("<f4")
-    data["intensity"] = cloud.temperatures.astype("<f4")
-    data["red"], data["green"], data["blue"] = rgb.T
-    atomic_write_bytes(Path(path), _ply_header(n, cloud.session_stamp, colored=True) + data.tobytes())
-
-
-PLAIN_PLY_PROPS = [("float", "x"), ("float", "y"), ("float", "z"), ("float", "intensity")]
-COLORED_PLY_PROPS = PLAIN_PLY_PROPS + [("uchar", "red"), ("uchar", "green"), ("uchar", "blue")]
+    _write_ply(path, cloud, *rainbow_rgb(cloud.temperatures, t_min, t_max).T)
 
 
 def read_ply(path: Path) -> ThermalPointCloud:
     """Load a map written by export_ply or export_colored_view.
 
-    Color channels, when present, are validation-checked and dropped; the
-    cloud carries positions and temperatures.
+    Color channels, when present, are read and dropped; the cloud carries
+    positions and temperatures.
     """
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
+    blob = _read_bytes(path)
     end_marker = b"end_header\n"
     end = blob.find(end_marker)
     if not blob.startswith(b"ply\n") or end < 0:
@@ -601,13 +565,9 @@ def read_ply(path: Path) -> ThermalPointCloud:
             raise _fail(path, lineno, f"unsupported header line {line!r}")
     if count is None:
         raise _fail(path, None, "missing vertex element")
-    if props == PLAIN_PLY_PROPS:
-        vertex = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("intensity", "<f4")])
-    elif props == COLORED_PLY_PROPS:
-        vertex = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("intensity", "<f4"),
-                           ("red", "u1"), ("green", "u1"), ("blue", "u1")])
-    else:
+    if tuple(props) not in _PLY_LAYOUTS:
         raise _fail(path, None, f"unsupported property layout {props}")
+    vertex = _vertex_dtype(tuple(props))
     payload = blob[end + len(end_marker):]
     if len(payload) != count * vertex.itemsize:
         raise _fail(path, None, f"payload is {len(payload)} bytes, expected {count * vertex.itemsize}")
@@ -632,19 +592,13 @@ def write_report(path: Path, entries: dict[str, object]) -> None:
         else:
             rendered = str(value)
         lines.append(f"{key} = {rendered}")
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
 
 
 def read_report(path: Path) -> dict[str, str]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
     out: dict[str, str] = {}
-    for lineno, row in enumerate(text.splitlines(), start=1):
+    for lineno, row in enumerate(_read_text(path).splitlines(), start=1):
         if not row.strip():
             continue
         if " = " not in row:
@@ -658,7 +612,18 @@ def write_delta_csv(path: Path, positions: np.ndarray, deltas: np.ndarray) -> No
     lines = ["x,y,z,dt"]
     for (x, y, z), dt in zip(positions, deltas):
         lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(dt)}")
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
+
+
+MATURITY_POINTS_HEADER = "x,y,z,samples,maturity_ch,violations"
+
+
+def write_maturity_points_csv(path: Path, rows: list[tuple[Vec3, int, float, int]]) -> None:
+    """One row per monitor position: position, sample count, maturity, rate violations."""
+    lines = [MATURITY_POINTS_HEADER]
+    for position, samples, maturity, violations in rows:
+        lines.append(f"{_fmt(position.x)},{_fmt(position.y)},{_fmt(position.z)},{samples},{_fmt(maturity)},{violations}")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -671,29 +636,15 @@ def write_series_csv(path: Path, entries: list[tuple[float, str]]) -> None:
     lines = [SERIES_HEADER]
     for time_h, name in entries:
         lines.append(f"{_fmt(time_h)},{name}")
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, lines)
 
 
 def read_series_csv(path: Path) -> list[tuple[float, str]]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
-    rows = text.splitlines()
-    if not rows or rows[0] != SERIES_HEADER:
-        raise _fail(path, 1, f"expected header {SERIES_HEADER!r}")
     out: list[tuple[float, str]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise _fail(path, lineno, f"expected 2 columns, got {len(parts)}")
-        time_h = _parse_float(parts[0], path, lineno, "time_h")
-        name = parts[1]
-        if not name or "/" in name or "\\" in name or name.startswith("."):
-            raise _fail(path, lineno, f"bad map file name {name!r}")
+    for lineno, (time_h, name) in _read_table(path, SERIES_HEADER):
+        time_h = _parse_float(time_h, path, lineno, "time_h")
+        name = _bare_name(name, path, lineno, "map")
         if out and time_h <= out[-1][0]:
             raise _fail(path, lineno, f"time {time_h} h does not advance past {out[-1][0]} h")
         out.append((time_h, name))
