@@ -113,10 +113,11 @@ def _read_table(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _check_stamps(path: Path, stamps: list[int]) -> None:
-    """The stamps of a table read by _read_table, one per data row, in order."""
+    """Stamps of a table read by _read_table, one per data row, must strictly increase."""
     for k in range(1, len(stamps)):
-        if stamps[k] < stamps[k - 1]:
-            raise _fail(path, k + 2, f"timestamp {stamps[k]} goes backwards (previous {stamps[k - 1]})")
+        if stamps[k] <= stamps[k - 1]:
+            how = "repeats" if stamps[k] == stamps[k - 1] else "goes backwards"
+            raise _fail(path, k + 2, f"timestamp {stamps[k]} {how} (previous {stamps[k - 1]})")
 
 
 def _bare_name(name: str, path: Path, line: int, what: str) -> str:
@@ -604,6 +605,8 @@ def read_report(path: Path) -> dict[str, str]:
         if " = " not in row:
             raise _fail(path, lineno, f"expected 'key = value', got {row!r}")
         key, _, value = row.partition(" = ")
+        if key in out:
+            raise _fail(path, lineno, f"duplicate key {key!r}")
         out[key] = value
     return out
 

@@ -186,6 +186,33 @@ def test_series_csv_roundtrip_and_validation(tmp_path):
         read_series_csv(path)
 
 
+def _write_stamped_table(table: str, directory, stamps: list[int]):
+    """Write one stamped table with the given stamps; return (path, reader)."""
+    if table == "scans":
+        path = directory / "scans.csv"
+        write_scans_csv(path, [Scan2D(s, 0.0, 0.1, [1.0, 2.0]) for s in stamps])
+        return path, lambda: read_scans_csv(path)
+    if table == "imu":
+        path = directory / "imu.csv"
+        write_imu_csv(path, [ImuSample(s, Vec3(0.0, 0.0, -9.8)) for s in stamps])
+        return path, lambda: read_imu_csv(path)
+    if table == "groundtruth":
+        path = directory / "groundtruth.csv"
+        write_trajectory_csv(path, [(s, PlanarPose(0.1 * k, 0.0, 0.0)) for k, s in enumerate(stamps)])
+        return path, lambda: read_trajectory_csv(path)
+    calib = _small_calib()
+    write_thermal_frames(directory, [ThermalImage(s, np.full((6, 8), 20.0)) for s in stamps], calib)
+    return directory / "thermal" / "index.csv", lambda: read_thermal_frames(directory, calib)
+
+
+@pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index"])
+def test_stamped_tables_reject_repeated_stamps(tmp_path, table):
+    path, read = _write_stamped_table(table, tmp_path, [0, 5, 5])
+    with pytest.raises(DatasetFormatError) as err:
+        read()
+    assert str(err.value) == f"{path}:4: timestamp 5 repeats (previous 5)"
+
+
 # ---------------------------------------------------------------------------
 # PGM frames and the thermal index.
 
@@ -408,6 +435,11 @@ def test_report_roundtrip(tmp_path):
         "converged": "true",
         "note": "fine",
     }
+
+    path.write_text("a = 1\n\na = 2\n")
+    with pytest.raises(DatasetFormatError) as err:
+        read_report(path)
+    assert str(err.value) == f"{path}:3: duplicate key 'a'"
 
 
 def _pinned_session() -> SessionDataset:
