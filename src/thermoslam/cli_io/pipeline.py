@@ -48,7 +48,6 @@ class PipelineConfig:
     motion_smooth_theta: float = math.radians(1.0)
     cell_spread_floor: float = 0.5
     cell_spread_noise_factor: float = 6.0
-    bilinear: bool = True
     loop_min_gap: int = 10
     loop_max_distance: float = 2.0
     loop_max_cost: float = 0.01
@@ -211,7 +210,6 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
             camera_pose,
             dataset.calib.intrinsics,
             frame,
-            bilinear=cfg.bilinear,
             max_cell_spread=gate,
         )
         frames_used += 1

@@ -196,13 +196,6 @@ def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return top * (1.0 - wy) + bot * wy
 
 
-def _nearest(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = image.shape
-    x = np.clip(np.rint(u).astype(int), 0, w - 1)
-    y = np.clip(np.rint(v).astype(int), 0, h - 1)
-    return image[y, x]
-
-
 def _cell_spread(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Max minus min over each sample's 2x2 interpolation cell."""
     h, w = image.shape
@@ -217,7 +210,6 @@ def project_to_thermal(
     camera_pose: RigidTransform3,
     intrinsics: CameraIntrinsics,
     image: ThermalImage,
-    bilinear: bool = True,
     max_cell_spread: float | None = None,
 ) -> WallCloud:
     """Color wall points that fall inside one thermal frame.
@@ -252,8 +244,7 @@ def project_to_thermal(
         clean = _cell_spread(image.temperatures, u[take], v[take]) <= max_cell_spread
         take[np.flatnonzero(take)[~clean]] = False
     if np.any(take):
-        sampler = _bilinear if bilinear else _nearest
-        out.temperatures[take] = sampler(image.temperatures, u[take], v[take])
+        out.temperatures[take] = _bilinear(image.temperatures, u[take], v[take])
         out.source_distance[take] = distance[take]
     return out
 

@@ -587,8 +587,9 @@ def test_cli_map_bad_inputs(tmp_path, capsys):
 
     session = tmp_path / "session"
     save_session(_small_dataset(), session)
-    # Keys of the removed point-pair refinement and of the fixed normal
-    # neighborhood and zero-range threshold are rejected, not ignored.
+    # Keys of the removed point-pair refinement, of the fixed normal
+    # neighborhood and zero-range threshold, and of the removed
+    # nearest-pixel sampling are rejected, not ignored.
     for k, (key, config) in enumerate(
         [
             ("delta", {"matcher": {"delta": 1.0}}),
@@ -598,6 +599,7 @@ def test_cli_map_bad_inputs(tmp_path, capsys):
             ("normal_neighbors", {"matcher": {"normal_neighbors": 10}}),
             ("normal_radius", {"matcher": {"normal_radius": 0.4}}),
             ("normal_flatness", {"matcher": {"normal_flatness": 0.05}}),
+            ("bilinear", {"bilinear": False}),
         ]
     ):
         bad_cfg = _write_json(tmp_path / f"cfg{k}.json", config)

@@ -112,17 +112,15 @@ def test_project_to_thermal_closer_camera_wins():
     assert np.allclose(after.temperatures, 30.0)
 
 
-def test_project_to_thermal_bilinear_vs_nearest():
+def test_project_to_thermal_bilinear():
     img = np.full((11, 11), 20.0)
     img[:, 4:] = 30.0
     # u = 3.5: halfway between a 20-column and a 30-column.
     pt = np.array([[(3.5 - 5.0) * 2.0 / 10.0, 0.0, 2.0]])
     cloud = WallCloud(pt, [np.nan], [np.inf])
     image = ThermalImage(0, img)
-    soft = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image, bilinear=True)
+    soft = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image)
     assert soft.temperatures[0] == pytest.approx(25.0)
-    hard = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image, bilinear=False)
-    assert hard.temperatures[0] in (20.0, 30.0)
 
 
 def test_project_to_thermal_cell_spread_gate():
