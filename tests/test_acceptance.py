@@ -55,8 +55,19 @@ from thermoslam import (
     uniform_field,
     wrap_angle,
 )
-from thermoslam.cli_io import export_ply, load_session, read_ply, run_mapping, save_session
+from thermoslam.cli_io import (
+    DatasetFormatError,
+    export_colored_view,
+    export_ply,
+    load_session,
+    read_ply,
+    read_series_csv,
+    run_mapping,
+    save_session,
+    write_series_csv,
+)
 from thermoslam.cli_io.cli import main
+from thermoslam.cli_io.formats import read_report, write_report
 from thermoslam.pose_graph import relative_pose_residual
 from thermoslam.scan_frontend import project_points_to_plane, scan_to_points
 from thermoslam.sim import raycast_scan
@@ -468,6 +479,40 @@ def test_criterion_08_maturity_arithmetic():
         assert math.isclose(head.maturity + tail.maturity, full.maturity, rel_tol=1e-12, abs_tol=1e-9)
 
 
+JUNK_TOKENS = (b"x", b"nan", b"1e999", b"-3", b"")
+
+
+def _corrupt(pristine: bytes, rng: np.random.Generator) -> tuple[bytes, int]:
+    """One random mutation of a file's bytes, and which of the six kinds it was."""
+    data = bytearray(pristine)
+    kind = int(rng.integers(6))
+    if kind == 0 and data:
+        del data[int(rng.integers(len(data))) :]
+    elif kind == 1 and data:
+        data[int(rng.integers(len(data)))] ^= 0xFF
+    elif kind == 2:
+        at = int(rng.integers(len(data) + 1))
+        data[at:at] = bytes(rng.integers(0, 256, int(rng.integers(1, 9)), dtype=np.uint8))
+    elif kind == 3:
+        lines = data.split(b"\n")
+        if len(lines) > 1:
+            del lines[int(rng.integers(len(lines)))]
+            data = bytearray(b"\n".join(lines))
+    elif kind == 4:
+        lines = data.split(b"\n")
+        pick = int(rng.integers(len(lines)))
+        lines.insert(pick, lines[pick])
+        data = bytearray(b"\n".join(lines))
+    else:
+        numbers = list(re.finditer(rb"[0-9][0-9eE+.\-]*", bytes(data)))
+        if numbers:
+            hit = numbers[int(rng.integers(len(numbers)))]
+            data[hit.start() : hit.end()] = JUNK_TOKENS[int(rng.integers(len(JUNK_TOKENS)))]
+        elif data:
+            data[int(rng.integers(len(data)))] ^= 0xFF
+    return bytes(data), kind
+
+
 def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
     # Write -> read -> write is byte-identical for the session files and
     # for PLY maps; 1,000 corrupted variants must each either load or
@@ -511,37 +556,11 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
 
     victims = [p for p in first.rglob("*") if p.is_file()] + [ply_first]
     pristine = {p: p.read_bytes() for p in victims}
-    junk_tokens = (b"x", b"nan", b"1e999", b"-3", b"")
     raised = 0
     for case in range(1000):
         target = victims[int(rng.integers(len(victims)))]
-        data = bytearray(pristine[target])
-        kind = int(rng.integers(6))
-        if kind == 0 and data:
-            del data[int(rng.integers(len(data))) :]
-        elif kind == 1 and data:
-            data[int(rng.integers(len(data)))] ^= 0xFF
-        elif kind == 2:
-            at = int(rng.integers(len(data) + 1))
-            data[at:at] = bytes(rng.integers(0, 256, int(rng.integers(1, 9)), dtype=np.uint8))
-        elif kind == 3:
-            lines = data.split(b"\n")
-            if len(lines) > 1:
-                del lines[int(rng.integers(len(lines)))]
-                data = bytearray(b"\n".join(lines))
-        elif kind == 4:
-            lines = data.split(b"\n")
-            pick = int(rng.integers(len(lines)))
-            lines.insert(pick, lines[pick])
-            data = bytearray(b"\n".join(lines))
-        else:
-            numbers = list(re.finditer(rb"[0-9][0-9eE+.\-]*", bytes(data)))
-            if numbers:
-                hit = numbers[int(rng.integers(len(numbers)))]
-                data[hit.start() : hit.end()] = junk_tokens[int(rng.integers(len(junk_tokens)))]
-            elif data:
-                data[int(rng.integers(len(data)))] ^= 0xFF
-        target.write_bytes(bytes(data))
+        data, kind = _corrupt(pristine[target], rng)
+        target.write_bytes(data)
         try:
             if target.suffix == ".ply":
                 read_ply(target)
@@ -557,6 +576,33 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
         finally:
             target.write_bytes(pristine[target])
     assert raised > 100  # most corruptions must be caught, not absorbed
+
+    # The same mutations on the inputs of compare and maturity: a map
+    # series, a report and a colored PLY. Each variant loads or raises
+    # DatasetFormatError naming the file.
+    rng = np.random.default_rng(910)
+    series = tmp_path / "series.csv"
+    write_series_csv(series, [(0.0, "epoch0.ply"), (12.5, "epoch1.ply"), (24.0, "epoch2.ply")])
+    report = tmp_path / "report.txt"
+    write_report(report, {"reference_points": 60, "align_yaw_rad": -0.0125, "mean_dt_c": 1.5, "no_overlap": False})
+    colored = tmp_path / "colored.ply"
+    export_colored_view(cloud, colored)
+    readers = {series: read_series_csv, report: read_report, colored: read_ply}
+    pristine = {p: p.read_bytes() for p in readers}
+    targets = list(readers)
+    raised = 0
+    for case in range(1000):
+        target = targets[int(rng.integers(len(targets)))]
+        data, kind = _corrupt(pristine[target], rng)
+        target.write_bytes(data)
+        try:
+            readers[target](target)
+        except DatasetFormatError as exc:
+            assert str(exc).startswith(f"{target}:"), f"case {case}: {exc}"
+            raised += 1
+        finally:
+            target.write_bytes(pristine[target])
+    assert raised > 100
 
 
 def test_criterion_10_fixed_seed_byte_identical_outputs(tmp_path):
