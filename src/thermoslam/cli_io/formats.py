@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from collections.abc import Iterator
 from pathlib import Path
@@ -212,6 +213,9 @@ def read_imu_csv(path: Path) -> list[ImuSample]:
 
 THERMAL_HEADER = "stamp_ns,file"
 PGM_MAXVAL = 65535
+# Magic, width, height and maxval as whitespace-separated ASCII tokens, then
+# one whitespace byte (none at the end of the file) before the samples.
+_PGM_HEADER = re.compile(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?")
 
 
 def write_pgm16(path: Path, raw: np.ndarray) -> None:
@@ -228,31 +232,21 @@ def write_pgm16(path: Path, raw: np.ndarray) -> None:
 def read_pgm16(path: Path) -> np.ndarray:
     path = Path(path)
     blob = _read_bytes(path)
-    # Header: magic, width, height, maxval as ASCII tokens, one trailing
-    # whitespace byte, then big-endian samples.
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise _fail(path, None, "truncated PGM header")
-        tokens.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    if tokens[0] != b"P5":
-        raise _fail(path, None, f"not a binary PGM (magic {tokens[0]!r})")
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise _fail(path, None, "truncated PGM header")
+    magic, *sizes = header.groups()
+    if magic != b"P5":
+        raise _fail(path, None, f"not a binary PGM (magic {magic!r})")
     try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        w, h, maxval = map(int, sizes)
     except ValueError:
         raise _fail(path, None, "non-numeric PGM dimensions") from None
     if w < 1 or h < 1:
         raise _fail(path, None, f"bad PGM dimensions {w}x{h}")
     if maxval != PGM_MAXVAL:
         raise _fail(path, None, f"expected maxval {PGM_MAXVAL}, got {maxval}")
-    payload = blob[pos:]
+    payload = blob[header.end():]
     if len(payload) != 2 * w * h:
         raise _fail(path, None, f"PGM payload is {len(payload)} bytes, expected {2 * w * h}")
     return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.uint16)
@@ -618,12 +612,9 @@ def write_delta_csv(path: Path, positions: np.ndarray, deltas: np.ndarray) -> No
     _write_lines(path, lines)
 
 
-MATURITY_POINTS_HEADER = "x,y,z,samples,maturity_ch,violations"
-
-
 def write_maturity_points_csv(path: Path, rows: list[tuple[Vec3, int, float, int]]) -> None:
     """One row per monitor position: position, sample count, maturity, rate violations."""
-    lines = [MATURITY_POINTS_HEADER]
+    lines = ["x,y,z,samples,maturity_ch,violations"]
     for position, samples, maturity, violations in rows:
         lines.append(f"{_fmt(position.x)},{_fmt(position.y)},{_fmt(position.z)},{samples},{_fmt(maturity)},{violations}")
     _write_lines(path, lines)
