@@ -54,6 +54,7 @@ from thermoslam.cli_io.formats import (
     read_report,
     temperatures_to_raw,
     write_delta_csv,
+    write_maturity_points_csv,
     write_pgm16,
     write_report,
 )
@@ -186,8 +187,12 @@ def test_series_csv_roundtrip_and_validation(tmp_path):
         read_series_csv(path)
 
 
-def _write_stamped_table(table: str, directory, stamps: list[int]):
-    """Write one stamped table with the given stamps; return (path, reader)."""
+def _write_table(table: str, directory, stamps: list[int]):
+    """Write one CSV table with a row per stamp; return (path, reader)."""
+    if table == "series":
+        path = directory / "series.csv"
+        write_series_csv(path, [(float(s), f"epoch{k}.ply") for k, s in enumerate(stamps)])
+        return path, lambda: read_series_csv(path)
     if table == "scans":
         path = directory / "scans.csv"
         write_scans_csv(path, [Scan2D(s, 0.0, 0.1, [1.0, 2.0]) for s in stamps])
@@ -207,10 +212,20 @@ def _write_stamped_table(table: str, directory, stamps: list[int]):
 
 @pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index"])
 def test_stamped_tables_reject_repeated_stamps(tmp_path, table):
-    path, read = _write_stamped_table(table, tmp_path, [0, 5, 5])
+    path, read = _write_table(table, tmp_path, [0, 5, 5])
     with pytest.raises(DatasetFormatError) as err:
         read()
     assert str(err.value) == f"{path}:4: timestamp 5 repeats (previous 5)"
+
+
+@pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index", "series"])
+def test_tables_reject_blank_rows(tmp_path, table):
+    path, read = _write_table(table, tmp_path, [0, 5])
+    header, first, second = path.read_text().splitlines()
+    path.write_text(f"{header}\n{first}\n\n{second}\n")
+    with pytest.raises(DatasetFormatError) as err:
+        read()
+    assert str(err.value) == f"{path}:3: blank line"
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +480,7 @@ PINNED_SHA256 = {
     "colored.ply": "1e251ceb2c80ecf7d305ad9283586ab9b7e998044131c70bfd688c2f8baf2543",
     "deltas.csv": "a7c981d0e1176648a9f6078a4c24ade714f322f4a5da31a4260a4455c0cfd4c7",
     "map.ply": "28426fceb6f561f423d68b14053c59556d3805699689882bf75d9721a14dda69",
+    "maturity_points.csv": "6246b9250384f3986036ec157a00088aa756e81263387e2bde43a1f7b43acbaf",
     "report.txt": "498545616bd3f1ccf56cac9488df4b14c044f9c1b14918b50c6e0f96dafc589a",
     "series.csv": "2acc06e19d5c13a414817baaccd4c971ec581a28b2a51796546f23b6ae2db1b6",
     "session/calib.txt": "9c5bfeeaaaf1f85b453a6b545b75ef8c8e51fd8dbb4479926110962b722bde86",
@@ -491,6 +507,9 @@ def test_writers_pin_bytes(tmp_path):
     )
     write_delta_csv(tmp_path / "deltas.csv", positions[:3], np.array([0.5, -1.25, 1 / 3]))
     write_series_csv(tmp_path / "series.csv", [(0.0, "epoch0.ply"), (12.5, "epoch1.ply"), (24.0 + 1 / 3, "epoch2.ply")])
+    write_maturity_points_csv(
+        tmp_path / "maturity_points.csv", [(Vec3(1.0, 0.875, 1 / 3), 3, 612.5, 1), (Vec3(-2.0, 0.1, 2.9), 1, 0.0, 0)]
+    )
     digests = {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.rglob("*"))
