@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from thermoslam import (
     two_room_site,
     uniform_field,
 )
+from thermoslam.cli_io import save_session
 from thermoslam.sim import (
     Timeline,
     align_trajectory_2d,
@@ -112,6 +114,98 @@ def test_raycast_scan_range_max_drops_returns():
     site = _square_site(half=2.0)
     scan = raycast_scan(site, _pose3(0.0, 0.0, 1.0), beam_count=8, range_max=1.5)
     assert np.isnan(scan.ranges).all()
+
+
+def _intersect_rays_broadcast(site, origins, directions):
+    """Reference: every ray against every segment in one (R, S) broadcast."""
+    o = np.atleast_2d(np.asarray(origins, dtype=float))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    p1, p2 = site._p1, site._p2
+    e = p2 - p1
+    dxy = d[:, :2]
+    rel = p1[None, :, :] - o[:, None, :2]
+    denom = dxy[:, None, 0] * e[None, :, 1] - dxy[:, None, 1] * e[None, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[:, :, 0] * e[None, :, 1] - rel[:, :, 1] * e[None, :, 0]) / denom
+        s = (rel[:, :, 0] * dxy[:, None, 1] - rel[:, :, 1] * dxy[:, None, 0]) / denom
+        z_hit = o[:, None, 2] + t * d[:, None, 2]
+    ok = (
+        (np.abs(denom) > 1e-15)
+        & (t > 1e-9)
+        & (s >= 0.0)
+        & (s <= 1.0)
+        & (z_hit >= -1e-12)
+        & (z_hit <= site._heights[None, :] + 1e-12)
+    )
+    t = np.where(ok, t, np.inf)
+    dist = t.min(axis=1)
+    wall = np.where(np.isfinite(dist), t.argmin(axis=1), -1)
+    with np.errstate(invalid="ignore"):
+        hits = o + dist[:, None] * d
+    hits[~np.isfinite(dist)] = np.nan
+    return dist, hits, wall
+
+
+def _assert_matches_broadcast(site, origins, directions):
+    dist, hits, wall = intersect_rays(site, origins, directions)
+    ref_dist, ref_hits, ref_wall = _intersect_rays_broadcast(site, origins, directions)
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(hits, ref_hits, equal_nan=True)
+    assert np.array_equal(wall, ref_wall)
+    return dist, wall
+
+
+def _unit(v) -> np.ndarray:
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("site_fn", [two_room_site, rectangle_site])
+def test_intersect_rays_matches_broadcast_on_random_rays(site_fn):
+    site = site_fn()
+    lo = np.minimum(site._p1, site._p2).min(axis=0) - 0.5
+    hi = np.maximum(site._p1, site._p2).max(axis=0) + 0.5
+    rng = np.random.default_rng(31)
+    hit_counts = []
+    for _ in range(4):
+        n = 2000
+        origins = np.column_stack([rng.uniform(lo[0], hi[0], n), rng.uniform(lo[1], hi[1], n), rng.uniform(-0.5, 3.5, n)])
+        directions = _unit(rng.standard_normal((n, 3)) * [1.0, 1.0, 0.4])
+        dist, _ = _assert_matches_broadcast(site, origins, directions)
+        hit_counts.append(np.isfinite(dist).sum())
+        # One origin shared by every ray, given once and given per ray.
+        _assert_matches_broadcast(site, origins[:1], directions)
+        _assert_matches_broadcast(site, np.repeat(origins[:1], n, axis=0), directions)
+    assert min(hit_counts) > 0
+
+
+def test_intersect_rays_matches_broadcast_on_edge_cases():
+    site = rectangle_site()  # walls 0..3: y = 0, x = 4, y = 4, x = 0
+    # Parallel to walls 0 and 2 (denom == 0), including one ray along wall 0's line.
+    _, wall = _assert_matches_broadcast(site, [[2.0, 1.0, 1.0], [-1.0, 0.0, 1.0]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert wall[0] == 1
+    # Climbing over wall 1's 3 m top edge, just under it, and diving under the floor.
+    dirs = _unit([[1.0, 0.0, 1.5], [1.0, 0.0, 1.2], [1.0, 0.0, -0.5]])
+    dist, wall = _assert_matches_broadcast(site, [[2.0, 2.0, 0.5]], dirs)
+    assert wall.tolist() == [-1, 1, -1]
+    assert np.isinf(dist[0]) and np.isinf(dist[2])
+
+
+def test_intersect_rays_corner_tie_goes_to_lowest_wall():
+    site = rectangle_site()
+    # Toward corner (0, 0) the first ray meets walls 0 and 3; toward (0, 4)
+    # the second meets walls 2 and 3.
+    origins = np.array([[2.0, 2.0, 1.0], [1.0, 3.0, 1.0]])
+    dirs = _unit([[-2.0, -2.0, 0.0], [-1.0, 1.0, 0.0]])
+    for ray, tied in enumerate([(0, 3), (2, 3)]):
+        # Each wall of the pair, alone, is hit at exactly the same distance.
+        alone = [
+            intersect_rays(SiteModel([site.walls[w]], site.temperature_field, site.floor_height), origins[ray], dirs[ray])[0][0]
+            for w in tied
+        ]
+        assert np.isfinite(alone[0]) and alone[0] == alone[1]
+    _, wall = _assert_matches_broadcast(site, origins, dirs)
+    assert wall.tolist() == [0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +366,29 @@ def test_simulated_thermal_frames_read_wall_field():
     assert wall_pixels.mean() > 0.5
     # Sky/floor pixels fall back to ambient.
     assert np.all((wall_pixels) | (np.abs(frame.temperatures - site.ambient_c) < 1e-6))
+
+
+def _tree_sha256(root) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+# First leg of the smoke tour through the two-room site.
+PINNED_WAYPOINTS = ((1.0, 0.8), (3.2, 2.1))
+PINNED_SESSION_SHA256 = "2acbca0d43023ac343274cd5b711467566b26a5604dad3c6fd4fa09957537257"
+
+
+def test_simulated_session_pins_bytes(tmp_path):
+    # A noisy session exercises tilted scan rays and the thermal noise
+    # stream, so any change to a simulated float moves this digest.
+    noise = NoiseSpec(range_sigma=0.01, gravity_tilt_sigma=math.radians(1.0), thermal_noise_sigma=0.5)
+    traj = TrajectorySpec(waypoints=PINNED_WAYPOINTS, speed=1.0)
+    dataset = simulate_session(two_room_site(), traj, noise, seed=11)
+    assert (len(dataset.scans), len(dataset.imu), len(dataset.frames)) == (26, 256, 13)
+    save_session(dataset, tmp_path)
+    assert _tree_sha256(tmp_path) == PINNED_SESSION_SHA256
 
 
 # ---------------------------------------------------------------------------
