@@ -92,34 +92,43 @@ class SiteModel:
 def intersect_rays(site: SiteModel, origins: np.ndarray, directions: np.ndarray):
     """Nearest wall hit for each 3D ray.
 
-    directions must be unit length; the returned distances are true 3D ray
+    origins is (R, 3) or a single (1, 3) origin shared by every ray;
+    directions must be unit length. The returned distances are true 3D ray
     parameters. Returns (distances, hit_points, wall_ids); misses carry
-    distance inf and wall_id -1.
+    distance inf, NaN hit points and wall_id -1. Where two walls are hit at
+    exactly the same distance (a corner), the lower wall index wins. Walls
+    are visited one at a time, so working memory is O(rays), not
+    O(rays x walls).
     """
     o = np.atleast_2d(np.asarray(origins, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    p1, p2, heights = site._p1, site._p2, site._heights
-    e = p2 - p1  # (S, 2)
+    ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    n = max(len(o), len(d))
+    dist = np.full(n, np.inf)
+    wall = np.full(n, -1, dtype=np.intp)
 
-    # Solve o_xy + t * d_xy = p1 + s * e for every ray/segment pair.
-    dxy = d[:, :2]  # (R, 2)
-    rel = p1[None, :, :] - o[:, None, :2]  # (R, S, 2)
-    denom = dxy[:, None, 0] * e[None, :, 1] - dxy[:, None, 1] * e[None, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rel[:, :, 0] * e[None, :, 1] - rel[:, :, 1] * e[None, :, 0]) / denom
-        s = (rel[:, :, 0] * dxy[:, None, 1] - rel[:, :, 1] * dxy[:, None, 0]) / denom
-        z_hit = o[:, None, 2] + t * d[:, None, 2]
-    ok = (
-        (np.abs(denom) > 1e-15)
-        & (t > 1e-9)
-        & (s >= 0.0)
-        & (s <= 1.0)
-        & (z_hit >= -1e-12)
-        & (z_hit <= site._heights[None, :] + 1e-12)
-    )
-    t = np.where(ok, t, np.inf)
-    dist = t.min(axis=1)
-    wall = np.where(np.isfinite(dist), t.argmin(axis=1), -1)
+    # Solve o_xy + t * d_xy = p1 + s * e for every ray against segment k.
+    for k, ((x1, y1), (ex, ey), top) in enumerate(zip(site._p1, site._p2 - site._p1, site._heights + 1e-12)):
+        rel_x = x1 - ox
+        rel_y = y1 - oy
+        denom = dx * ey - dy * ex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rel_x * ey - rel_y * ex) / denom
+            s = (rel_x * dy - rel_y * dx) / denom
+            z_hit = oz + t * dz
+        # Strict < keeps the first (lowest-index) wall on a tie.
+        closer = (
+            (np.abs(denom) > 1e-15)
+            & (t > 1e-9)
+            & (s >= 0.0)
+            & (s <= 1.0)
+            & (z_hit >= -1e-12)
+            & (z_hit <= top)
+            & (t < dist)
+        )
+        dist[closer] = t[closer]
+        wall[closer] = k
     # inf * 0 in the miss rows would warn; they are overwritten anyway.
     with np.errstate(invalid="ignore"):
         hits = o + dist[:, None] * d
