@@ -4,7 +4,9 @@ A session directory holds scans.csv, imu.csv, thermal/index.csv plus one
 16-bit PGM per thermal frame, calib.txt, and optionally groundtruth.csv.
 Maps are binary little-endian PLY with temperature in the intensity
 channel. Every writer except the delta and maturity points tables has a
-matching reader; write -> read -> write is byte-identical. All floats are
+matching reader; write -> read -> write is byte-identical. The writers of
+the stamped tables and of the map series run their reader's stamp, time
+and file-name checks before writing anything. All floats are
 serialized with repr() so values round-trip exactly; all writes go
 through a temp file and an atomic rename.
 """
@@ -114,7 +116,7 @@ def _read_table(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _check_stamps(path: Path, stamps: list[int]) -> None:
-    """Stamps of a table read by _read_table, one per data row, must strictly increase."""
+    """Stamps of a table, one per data row, must strictly increase; row k is on line k + 2."""
     for k in range(1, len(stamps)):
         if stamps[k] <= stamps[k - 1]:
             how = "repeats" if stamps[k] == stamps[k - 1] else "goes backwards"
@@ -122,8 +124,15 @@ def _check_stamps(path: Path, stamps: list[int]) -> None:
 
 
 def _bare_name(name: str, path: Path, line: int, what: str) -> str:
-    """A file name that stays inside the directory of the table naming it."""
-    if not name or "/" in name or "\\" in name or name.startswith("."):
+    """A file name that stays inside the directory of the table naming it
+    and fits in one field of one ASCII row."""
+    if (
+        not name
+        or name.startswith(".")
+        or any(c in name for c in "/\\,")
+        or not name.isascii()
+        or name.splitlines() != [name]
+    ):
         raise _fail(path, line, f"bad {what} file name {name!r}")
     return name
 
@@ -156,6 +165,7 @@ SCANS_HEADER = "stamp_ns,angle_min,angle_increment,ranges"
 
 
 def write_scans_csv(path: Path, scans: list[Scan2D]) -> None:
+    _check_stamps(path, [scan.stamp for scan in scans])
     lines = [SCANS_HEADER]
     for scan in scans:
         ranges = ";".join(_fmt(r) for r in scan.ranges)
@@ -186,6 +196,7 @@ IMU_HEADER = "stamp_ns,ax,ay,az"
 
 
 def write_imu_csv(path: Path, samples: list[ImuSample]) -> None:
+    _check_stamps(path, [s.stamp for s in samples])
     lines = [IMU_HEADER]
     for s in samples:
         lines.append(f"{s.stamp},{_fmt(s.accel.x)},{_fmt(s.accel.y)},{_fmt(s.accel.z)}")
@@ -265,6 +276,7 @@ def raw_to_temperatures(raw: np.ndarray, scale: float, offset: float) -> np.ndar
 
 def write_thermal_frames(session_dir: Path, frames: list[ThermalImage], calib: Calibration) -> None:
     thermal_dir = Path(session_dir) / THERMAL_DIR
+    _check_stamps(thermal_dir / THERMAL_INDEX, [frame.stamp for frame in frames])
     lines = [THERMAL_HEADER]
     for k, frame in enumerate(frames):
         name = f"frame_{k:06d}.pgm"
@@ -373,6 +385,7 @@ TRAJECTORY_HEADER = "stamp_ns,x,y,theta_z"
 
 
 def write_trajectory_csv(path: Path, trajectory: list[tuple[Timestamp, PlanarPose]]) -> None:
+    _check_stamps(path, [int(stamp) for stamp, _ in trajectory])
     lines = [TRAJECTORY_HEADER]
     for stamp, pose in trajectory:
         lines.append(f"{int(stamp)},{_fmt(pose.x)},{_fmt(pose.y)},{_fmt(pose.theta)}")
@@ -626,22 +639,30 @@ def write_maturity_points_csv(path: Path, rows: list[tuple[Vec3, int, float, int
 SERIES_HEADER = "time_h,file"
 
 
+def _check_series(path: Path, entries: list[tuple[float, str]]) -> None:
+    """At least one map, each a bare file name at a finite time after the
+    previous one; entry k is on line k + 2."""
+    if not entries:
+        raise _fail(path, None, "series has no sessions")
+    for k, (time_h, name) in enumerate(entries):
+        _bare_name(name, path, k + 2, "map")
+        if not math.isfinite(time_h):
+            raise _fail(path, k + 2, f"time_h must be finite, got {time_h!r}")
+        if k and time_h <= entries[k - 1][0]:
+            raise _fail(path, k + 2, f"time {time_h} h does not advance past {entries[k - 1][0]} h")
+
+
 def write_series_csv(path: Path, entries: list[tuple[float, str]]) -> None:
-    lines = [SERIES_HEADER]
-    for time_h, name in entries:
-        lines.append(f"{_fmt(time_h)},{name}")
-    _write_lines(path, lines)
+    entries = [(float(time_h), name) for time_h, name in entries]
+    _check_series(Path(path), entries)
+    _write_lines(path, [SERIES_HEADER] + [f"{_fmt(time_h)},{name}" for time_h, name in entries])
 
 
 def read_series_csv(path: Path) -> list[tuple[float, str]]:
     path = Path(path)
-    out: list[tuple[float, str]] = []
-    for lineno, (time_h, name) in _read_table(path, SERIES_HEADER):
-        time_h = _parse_float(time_h, path, lineno, "time_h")
-        name = _bare_name(name, path, lineno, "map")
-        if out and time_h <= out[-1][0]:
-            raise _fail(path, lineno, f"time {time_h} h does not advance past {out[-1][0]} h")
-        out.append((time_h, name))
-    if not out:
-        raise _fail(path, None, "series has no sessions")
+    out = [
+        (_parse_float(time_h, path, lineno, "time_h"), name)
+        for lineno, (time_h, name) in _read_table(path, SERIES_HEADER)
+    ]
+    _check_series(path, out)
     return out

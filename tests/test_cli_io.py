@@ -187,35 +187,75 @@ def test_series_csv_roundtrip_and_validation(tmp_path):
         read_series_csv(path)
 
 
+TABLE_FILES = {
+    "series": "series.csv",
+    "scans": "scans.csv",
+    "imu": "imu.csv",
+    "groundtruth": "groundtruth.csv",
+    "thermal_index": "thermal/index.csv",
+}
+
+
 def _write_table(table: str, directory, stamps: list[int]):
     """Write one CSV table with a row per stamp; return (path, reader)."""
+    path = directory / TABLE_FILES[table]
     if table == "series":
-        path = directory / "series.csv"
         write_series_csv(path, [(float(s), f"epoch{k}.ply") for k, s in enumerate(stamps)])
         return path, lambda: read_series_csv(path)
     if table == "scans":
-        path = directory / "scans.csv"
         write_scans_csv(path, [Scan2D(s, 0.0, 0.1, [1.0, 2.0]) for s in stamps])
         return path, lambda: read_scans_csv(path)
     if table == "imu":
-        path = directory / "imu.csv"
         write_imu_csv(path, [ImuSample(s, Vec3(0.0, 0.0, -9.8)) for s in stamps])
         return path, lambda: read_imu_csv(path)
     if table == "groundtruth":
-        path = directory / "groundtruth.csv"
         write_trajectory_csv(path, [(s, PlanarPose(0.1 * k, 0.0, 0.0)) for k, s in enumerate(stamps)])
         return path, lambda: read_trajectory_csv(path)
     calib = _small_calib()
     write_thermal_frames(directory, [ThermalImage(s, np.full((6, 8), 20.0)) for s in stamps], calib)
-    return directory / "thermal" / "index.csv", lambda: read_thermal_frames(directory, calib)
+    return path, lambda: read_thermal_frames(directory, calib)
 
 
 @pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index"])
 def test_stamped_tables_reject_repeated_stamps(tmp_path, table):
-    path, read = _write_table(table, tmp_path, [0, 5, 5])
+    # The writers refuse a repeated stamp, so write 0, 5, 6 and edit the 6.
+    path, read = _write_table(table, tmp_path, [0, 5, 6])
+    header, first, second, third = path.read_text().splitlines()
+    assert third.startswith("6,")
+    path.write_text(f"{header}\n{first}\n{second}\n5{third[1:]}\n")
     with pytest.raises(DatasetFormatError) as err:
         read()
     assert str(err.value) == f"{path}:4: timestamp 5 repeats (previous 5)"
+
+
+@pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index"])
+def test_stamped_writers_reject_repeated_stamps(tmp_path, table):
+    with pytest.raises(DatasetFormatError) as err:
+        _write_table(table, tmp_path, [0, 5, 5])
+    assert str(err.value) == f"{tmp_path / TABLE_FILES[table]}:4: timestamp 5 repeats (previous 5)"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "entries, reason",
+    [
+        ([(0.0, "a,b.ply")], "bad map file name 'a,b.ply'"),
+        ([(0.0, "../x.ply")], "bad map file name '../x.ply'"),
+        ([(0.0, ".hidden.ply")], "bad map file name '.hidden.ply'"),
+        ([(0.0, "a\nb.ply")], "bad map file name 'a\\nb.ply'"),
+        ([(0.0, "a.ply"), (0.0, "b.ply")], "time 0.0 h does not advance past 0.0 h"),
+        ([(0.0, "a.ply"), (math.nan, "b.ply")], "time_h must be finite, got nan"),
+    ],
+    ids=["comma", "parent_dir", "hidden", "newline", "repeated_time", "nan_time"],
+)
+def test_series_writer_rejects_what_its_reader_rejects(tmp_path, entries, reason):
+    path = tmp_path / "series.csv"
+    with pytest.raises(DatasetFormatError) as err:
+        write_series_csv(path, entries)
+    assert str(err.value) == f"{path}:{len(entries) + 1}: {reason}"
+    with pytest.raises(DatasetFormatError, match="no sessions"):
+        write_series_csv(path, [])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index", "series"])
