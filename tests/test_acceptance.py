@@ -10,6 +10,7 @@ package's own code paths.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -605,9 +606,19 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
     assert raised > 100
 
 
+# sha256 of each file `map` writes for criterion 10's seed-17 session.
+PINNED_MAP_SHA256 = {
+    "colored.ply": "befac4df71514771dd0be6573a92596ec39d51bda54408723522b85f2bc405e7",
+    "diagnostics.txt": "24e31b8c526ae55c81bac028e4b0817195e140e097ee25fd8753d9ec66b12ba4",
+    "map.ply": "563dda1fc4c5fe087098c15410fb1a86d9e5d3372084db5d6a0c5691e768b333",
+    "trajectory.csv": "9673876b5635f6d02a2a72c597ada674d96d3c092cfa38db06ef4cf9b2736996",
+}
+
+
 def test_criterion_10_fixed_seed_byte_identical_outputs(tmp_path):
     # simulate and map, run twice with the same seed, must produce
-    # byte-identical directory trees end to end.
+    # byte-identical directory trees end to end, and the map tree must
+    # match its pinned digests.
     traj_path = tmp_path / "traj.json"
     noise_path = tmp_path / "noise.json"
     traj_path.write_text(
@@ -649,3 +660,5 @@ def test_criterion_10_fixed_seed_byte_identical_outputs(tmp_path):
     assert captured[0][1] == captured[1][1]
     assert "map.ply" in captured[0][1]
     assert "diagnostics.txt" in captured[0][1]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in captured[0][1].items()}
+    assert digests == PINNED_MAP_SHA256
