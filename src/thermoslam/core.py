@@ -100,6 +100,23 @@ def inverse(p: PlanarPose) -> PlanarPose:
     return PlanarPose(-(c * p.x + s * p.y), s * p.x - c * p.y, -p.theta)
 
 
+def fit_rigid_2d(moving_xy: np.ndarray, reference_xy: np.ndarray) -> tuple[float, np.ndarray]:
+    """Closed-form least-squares (theta, t_xy) taking moving points onto reference.
+
+    Both inputs are (N, 2) arrays of paired points; a moving point p maps
+    to R(theta) @ p + t_xy.
+    """
+    mov = np.asarray(moving_xy, dtype=float)
+    ref = np.asarray(reference_xy, dtype=float)
+    mov_mean = mov.mean(axis=0)
+    ref_mean = ref.mean(axis=0)
+    cov = (ref - ref_mean).T @ (mov - mov_mean)
+    theta = math.atan2(cov[1, 0] - cov[0, 1], cov[0, 0] + cov[1, 1])
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return theta, ref_mean - rot @ mov_mean
+
+
 def rotation_about_z(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import RigidTransform3, Vec3, rotation_about_z, wrap_angle
+from .core import RigidTransform3, Vec3, fit_rigid_2d, rotation_about_z, wrap_angle
 from .thermal_map import ThermalPointCloud, voxel_thin
 
 __all__ = [
     "AlignmentError",
-    "AlignResult",
     "DeltaReport",
     "MaturityRecord",
     "RateViolation",
@@ -34,13 +33,6 @@ __all__ = [
 
 class AlignmentError(RuntimeError):
     """Cross-session alignment failed to reach an acceptable residual."""
-
-
-@dataclass(eq=False)
-class AlignResult:
-    transform: RigidTransform3
-    rms: float
-    iterations: int
 
 
 @dataclass(eq=False)
@@ -103,21 +95,6 @@ def _yaw_of(transform: RigidTransform3) -> float:
     return math.atan2(transform.rotation[1, 0], transform.rotation[0, 0])
 
 
-def _fit_planar_z(moving: np.ndarray, reference: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Closed-form least-squares yaw + xy + z shift taking moving onto reference."""
-    mov_xy = moving[:, :2]
-    ref_xy = reference[:, :2]
-    mov_mean = mov_xy.mean(axis=0)
-    ref_mean = ref_xy.mean(axis=0)
-    cov = (ref_xy - ref_mean).T @ (mov_xy - mov_mean)
-    yaw = math.atan2(cov[1, 0] - cov[0, 1], cov[0, 0] + cov[1, 1])
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot = np.array([[c, -s], [s, c]])
-    t_xy = ref_mean - rot @ mov_mean
-    t_z = float(np.mean(reference[:, 2] - moving[:, 2]))
-    return yaw, t_xy, t_z
-
-
 def _as_transform(yaw: float, t_xy: np.ndarray, t_z: float) -> RigidTransform3:
     return RigidTransform3(rotation_about_z(yaw), np.array([t_xy[0], t_xy[1], t_z]))
 
@@ -139,8 +116,10 @@ def _icp_stage(
         keep = dist <= gate
         if not np.any(keep):
             break
-        yaw, t_xy, t_z = _fit_planar_z(moving[keep], reference[idx[keep]])
-        candidate = _as_transform(yaw, t_xy, t_z)
+        # Closed-form yaw + xy fit of the kept pairs, plus their mean z shift.
+        mov, ref = moving[keep], reference[idx[keep]]
+        yaw, t_xy = fit_rigid_2d(mov[:, :2], ref[:, :2])
+        candidate = _as_transform(yaw, t_xy, float(np.mean(ref[:, 2] - mov[:, 2])))
         cand_dist, cand_idx = tree.query(candidate.apply(moving))
         cand_keep = cand_dist <= 3.0 * float(np.median(cand_dist))
         cand_rms = float(np.sqrt(np.mean(cand_dist[cand_keep] ** 2)))

@@ -22,6 +22,7 @@ from .core import (
     Scan2D,
     Timestamp,
     Vec3,
+    fit_rigid_2d,
     rotation_about_z,
     wrap_angle,
 )
@@ -161,8 +162,7 @@ def raycast_scan(
     angles = -0.5 * fov + increment * np.arange(beam_count)
     dirs_sensor = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(beam_count)])
     dirs_world = dirs_sensor @ sensor_pose.rotation.T
-    origins = np.repeat(sensor_pose.translation[None, :], beam_count, axis=0)
-    dist, _, _ = intersect_rays(site, origins, dirs_world)
+    dist, _, _ = intersect_rays(site, sensor_pose.translation[None, :], dirs_world)
     ranges = np.where(dist <= range_max, dist, np.nan)
     if noise is not None and rng is not None:
         if noise.range_sigma > 0.0:
@@ -201,8 +201,7 @@ def render_thermal(
     )
     rays_cam /= np.linalg.norm(rays_cam, axis=1, keepdims=True)
     rays_world = rays_cam @ cam_to_world.rotation.T
-    origins = np.repeat(cam_to_world.translation[None, :], w * h, axis=0)
-    dist, hits, wall = intersect_rays(site, origins, rays_world)
+    dist, hits, wall = intersect_rays(site, cam_to_world.translation[None, :], rays_world)
     hit_mask = np.isfinite(dist)
     temps = np.full(w * h, site.ambient_c)
     if np.any(hit_mask):
@@ -628,18 +627,6 @@ def simulate_session(
 # Ground-truth evaluation helpers.
 
 
-def align_trajectory_2d(estimated_xy: np.ndarray, reference_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-fit rotation+translation taking estimated onto reference (2D)."""
-    est = np.asarray(estimated_xy, dtype=float)
-    ref = np.asarray(reference_xy, dtype=float)
-    ce, cr = est.mean(axis=0), ref.mean(axis=0)
-    cov = (ref - cr).T @ (est - ce)
-    theta = math.atan2(cov[1, 0] - cov[0, 1], cov[0, 0] + cov[1, 1])
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return rot, cr - rot @ ce
-
-
 def trajectory_ate(
     estimated: Sequence[tuple[Timestamp, PlanarPose]],
     reference: Sequence[tuple[Timestamp, PlanarPose]],
@@ -653,6 +640,7 @@ def trajectory_ate(
     est = np.array([[p.x, p.y] for p, _ in pairs])
     ref = np.array([[q.x, q.y] for _, q in pairs])
     if align:
-        rot, t = align_trajectory_2d(est, ref)
-        est = est @ rot.T + t
+        theta, t = fit_rigid_2d(est, ref)
+        c, s = math.cos(theta), math.sin(theta)
+        est = est @ np.array([[c, -s], [s, c]]).T + t
     return float(np.sqrt(np.mean(np.sum((est - ref) ** 2, axis=1))))

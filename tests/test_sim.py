@@ -22,9 +22,9 @@ from thermoslam import (
     uniform_field,
 )
 from thermoslam.cli_io import save_session
+from thermoslam.core import fit_rigid_2d, rotation_about_z
 from thermoslam.sim import (
     Timeline,
-    align_trajectory_2d,
     field_from_config,
     intersect_rays,
     raycast_scan,
@@ -402,7 +402,8 @@ def test_align_trajectory_2d_recovers_offset():
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     est = (ref - np.array([1.0, -2.0])) @ rot  # ref = R @ est + t
-    rot_fit, t_fit = align_trajectory_2d(est, ref)
+    theta_fit, t_fit = fit_rigid_2d(est, ref)
+    rot_fit = rotation_about_z(theta_fit)[:2, :2]
     assert np.allclose(est @ rot_fit.T + t_fit, ref, atol=1e-9)
 
 
