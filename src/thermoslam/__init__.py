@@ -25,7 +25,6 @@ from .core import (
 )
 from .scan_frontend import (
     DegenerateScanError,
-    MatcherConfig,
     MatchResult,
     ProjectedScan,
     associate_gravity,
@@ -52,7 +51,6 @@ from .pose_graph import (
     OptimizeConfig,
     OptimizeResult,
     PoseGraph,
-    SolverWeights,
     detect_loop_closures,
     optimize,
 )

@@ -8,7 +8,6 @@ given the inputs (and seed, for simulation).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..core import HuberLoss, Vec3
+from ..core import Vec3
 from ..monitor import (
     MaturityRecord,
     accumulate_maturity,
@@ -26,8 +25,6 @@ from ..monitor import (
     temperature_delta,
     transform_cloud,
 )
-from ..scan_frontend import MatcherConfig
-from ..pose_graph import SolverWeights
 from ..sim import (
     NoiseSpec,
     SITE_PRESETS,
@@ -39,7 +36,7 @@ from ..sim import (
 )
 from ..thermal_map import voxel_thin
 from . import formats
-from .pipeline import PipelineConfig, run_mapping
+from .pipeline import run_mapping
 
 MATURITY_MATCH_RADIUS = 0.05
 MATURITY_THIN_VOXEL = 0.2
@@ -130,26 +127,6 @@ def _load_site(spec: str) -> SiteModel:
     return SiteModel(walls, field, floor_height=floor_height, ambient_c=float(data.get("ambient_c", 15.0)))
 
 
-def _load_pipeline_config(path: Path) -> PipelineConfig:
-    data = _load_json(path)
-    matcher_data = data.pop("matcher", None)
-    weights_data = data.pop("weights", None)
-    field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
-    _reject_unknown(data, field_names - {"matcher", "weights"}, path)
-    kwargs = dict(data)
-    if matcher_data is not None:
-        matcher_names = {f.name for f in dataclasses.fields(MatcherConfig)} - {"huber"}
-        _reject_unknown(matcher_data, matcher_names | {"huber_delta"}, path)
-        huber_delta = matcher_data.pop("huber_delta", None)
-        if huber_delta is not None:
-            matcher_data["huber"] = HuberLoss(float(huber_delta))
-        kwargs["matcher"] = MatcherConfig(**matcher_data)
-    if weights_data is not None:
-        _reject_unknown(weights_data, {f.name for f in dataclasses.fields(SolverWeights)}, path)
-        kwargs["weights"] = SolverWeights(**weights_data)
-    return PipelineConfig(**kwargs)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -167,8 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     dataset = formats.load_session(Path(args.session))
-    config = _load_pipeline_config(Path(args.config)) if args.config else PipelineConfig()
-    result = run_mapping(dataset, config)
+    result = run_mapping(dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.export_ply(result.cloud, out / "map.ply")
@@ -284,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="reconstruct a thermal map from a session")
     p.add_argument("--session", required=True, help="session directory")
-    p.add_argument("--config", default=None, help="pipeline config JSON file (optional)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("compare", help="align two maps and report temperature deltas")

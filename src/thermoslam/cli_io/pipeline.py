@@ -8,7 +8,7 @@ refinement into one deterministic run over a loaded session.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,11 @@ from ..pose_graph import (
     GraphEdge,
     GraphNode,
     PoseGraph,
-    SolverWeights,
     detect_loop_closures,
     optimize,
 )
 from ..scan_frontend import (
     DegenerateScanError,
-    MatcherConfig,
     ProjectedScan,
     associate_gravity,
     filter_gravity,
@@ -34,29 +32,22 @@ from ..sim import SessionDataset, trajectory_ate
 from ..thermal_map import ThermalImage, ThermalPointCloud, WallCloud, accumulate_map, extrude_walls, project_to_thermal
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for the mapping pipeline; defaults fit hand-held indoor scans."""
+# A scan becomes a keyframe once it is KEYFRAME_DISTANCE (m) or
+# KEYFRAME_ANGLE away from the current keyframe.
+KEYFRAME_DISTANCE = 0.08
+KEYFRAME_ANGLE = math.radians(10.0)
 
-    gravity_alpha: float = 0.05
-    max_gravity_offset_ns: int = 100_000_000
-    keyframe_distance: float = 0.08
-    keyframe_angle: float = math.radians(10.0)
-    matcher: MatcherConfig = field(default_factory=MatcherConfig)
-    thermal_window_ns: int = 250_000_000
-    motion_smooth_xy: float = 0.01
-    motion_smooth_theta: float = math.radians(1.0)
-    cell_spread_floor: float = 0.5
-    cell_spread_noise_factor: float = 6.0
-    loop_min_gap: int = 10
-    loop_max_distance: float = 2.0
-    loop_max_cost: float = 0.01
-    loop_min_inlier_ratio: float = 0.6
-    loop_stride: int = 3
-    loop_max_candidates: int = 4000
-    loop_max_per_node: int = 2
-    weights: SolverWeights = field(default_factory=SolverWeights)
-    voxel_size: float = 0.05
+# A thermal frame is used only within THERMAL_WINDOW_NS of a keyframe and
+# where the per-scan motion around it changes by at most MOTION_SMOOTH_XY
+# (m) and MOTION_SMOOTH_THETA from one scan interval to the next. A wall
+# point takes the frame's reading only where its 2x2 interpolation cell
+# spans at most max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * image
+# noise) degrees C.
+THERMAL_WINDOW_NS = 250_000_000
+MOTION_SMOOTH_XY = 0.01
+MOTION_SMOOTH_THETA = math.radians(1.0)
+CELL_SPREAD_FLOOR = 0.5
+CELL_SPREAD_NOISE_FACTOR = 6.0
 
 
 @dataclass(eq=False)
@@ -129,19 +120,17 @@ class _DenseTrack:
         return True
 
 
-def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -> MappingResult:
+def run_mapping(dataset: SessionDataset) -> MappingResult:
     """Reconstruct a temperature-annotated wall map from one session.
 
     The map and trajectory live in the frame of the first usable scan
-    (node 0). Deterministic: identical datasets and config produce
-    identical results.
+    (node 0). Deterministic: identical datasets produce identical results.
     """
-    cfg = config if config is not None else PipelineConfig()
     if not dataset.scans:
         raise ValueError("session has no scans")
 
-    gravity = filter_gravity(dataset.imu, alpha=cfg.gravity_alpha)
-    pairs, dropped_gravity = associate_gravity(dataset.scans, gravity, max_offset_ns=cfg.max_gravity_offset_ns)
+    gravity = filter_gravity(dataset.imu)
+    pairs, dropped_gravity = associate_gravity(dataset.scans, gravity)
 
     projected: list[ProjectedScan] = []
     degenerate = 0
@@ -164,7 +153,7 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
     last_step = PlanarPose()
     for k in range(1, len(projected)):
         guess = compose(rel_to_kf, last_step)
-        result = match_scans(projected[kf_indices[-1]], projected[k], initial_guess=guess, config=cfg.matcher)
+        result = match_scans(projected[kf_indices[-1]], projected[k], initial_guess=guess)
         if result.converged:
             rel = result.relative_pose
         else:
@@ -173,7 +162,7 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
         last_step = compose(inverse(rel_to_kf), rel)
         rel_to_kf = rel
         scan_poses.append(compose(kf_poses[-1], rel))
-        if math.hypot(rel.x, rel.y) >= cfg.keyframe_distance or abs(rel.theta) >= cfg.keyframe_angle:
+        if math.hypot(rel.x, rel.y) >= KEYFRAME_DISTANCE or abs(rel.theta) >= KEYFRAME_ANGLE:
             kf_indices.append(k)
             kf_relatives.append(rel)
             kf_poses.append(scan_poses[-1])
@@ -195,16 +184,16 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
         slot = int(np.searchsorted(node_stamps, frame.stamp))
         candidates = [i for i in (slot - 1, slot) if 0 <= i < len(node_stamps)]
         node = min(candidates, key=lambda i: abs(int(node_stamps[i]) - frame.stamp))
-        if abs(int(node_stamps[node]) - frame.stamp) > cfg.thermal_window_ns:
+        if abs(int(node_stamps[node]) - frame.stamp) > THERMAL_WINDOW_NS:
             frames_far += 1
             continue
-        if not track.is_smooth_at(frame.stamp, cfg.motion_smooth_xy, cfg.motion_smooth_theta):
+        if not track.is_smooth_at(frame.stamp, MOTION_SMOOTH_XY, MOTION_SMOOTH_THETA):
             frames_unsteady += 1
             continue
         sensor_at_frame = planar_to_rigid3(track.pose_at(frame.stamp), dataset.calib.sensor_height)
         node_lift = planar_to_rigid3(kf_poses[node], dataset.calib.sensor_height)
         camera_pose = dataset.calib.camera_extrinsic.compose(sensor_at_frame.inverse()).compose(node_lift)
-        gate = max(cfg.cell_spread_floor, cfg.cell_spread_noise_factor * estimate_image_noise(frame))
+        gate = max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(frame))
         clouds[node] = project_to_thermal(
             clouds[node],
             camera_pose,
@@ -214,18 +203,7 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
         )
         frames_used += 1
 
-    loop_edges, loop_rejected = detect_loop_closures(
-        kf_scans,
-        kf_poses,
-        matcher_config=cfg.matcher,
-        min_index_gap=cfg.loop_min_gap,
-        max_distance=cfg.loop_max_distance,
-        max_cost=cfg.loop_max_cost,
-        min_inlier_ratio=cfg.loop_min_inlier_ratio,
-        stride=cfg.loop_stride,
-        max_candidates=cfg.loop_max_candidates,
-        max_per_node=cfg.loop_max_per_node,
-    )
+    loop_edges, loop_rejected = detect_loop_closures(kf_scans, kf_poses)
 
     nodes = [GraphNode(n, pose) for n, pose in enumerate(kf_poses)]
     edges: list[GraphEdge] = [
@@ -233,11 +211,11 @@ def run_mapping(dataset: SessionDataset, config: PipelineConfig | None = None) -
     ]
     edges.extend(loop_edges)
     graph = PoseGraph(nodes, edges)
-    solved = optimize(graph, weights=cfg.weights)
+    solved = optimize(graph)
 
     final_poses = [node.pose for node in solved.graph.nodes]
     session_stamp = dataset.scans[0].stamp
-    cloud = accumulate_map(clouds, final_poses, extrusion, voxel_size=cfg.voxel_size, session_stamp=session_stamp)
+    cloud = accumulate_map(clouds, final_poses, extrusion, session_stamp=session_stamp)
     trajectory = [(int(node_stamps[n]), final_poses[n]) for n in range(len(final_poses))]
 
     diagnostics: dict[str, object] = {

@@ -15,27 +15,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HuberLoss, PlanarPose, compose, inverse, wrap_angle
-from .scan_frontend import MatcherConfig, ProjectedScan, match_scans
+from .scan_frontend import ProjectedScan, match_scans
 
 EDGE_KINDS = ("odometry", "loop_closure")
 
 _SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])  # d/dtheta of a rotation, left factor
 
+# Weights of the translation and rotation rows of each edge residual, and
+# the robust loss on each edge's weighted residual norm.
+TRANSLATION_WEIGHT = 5.0
+ROTATION_WEIGHT = 400.0
+EDGE_LOSS = HuberLoss(0.1)
+
+# Loop-closure candidates: every LOOP_STRIDE-th node is paired with every
+# LOOP_STRIDE-th later node; at most LOOP_MAX_CANDIDATES pairs are matched
+# and a node takes part in at most LOOP_MAX_PER_NODE accepted closures.
+LOOP_STRIDE = 3
+LOOP_MAX_CANDIDATES = 4000
+LOOP_MAX_PER_NODE = 2
+
 
 class DisconnectedGraphError(ValueError):
     """The pose graph does not connect all nodes."""
-
-
-@dataclass(frozen=True)
-class SolverWeights:
-    """Weights of the translation and rotation rows of each edge residual."""
-
-    translation: float = 5.0
-    rotation: float = 400.0
-
-    def __post_init__(self) -> None:
-        if min(self.translation, self.rotation) < 0.0:
-            raise ValueError("weights must be >= 0")
 
 
 @dataclass(eq=False)
@@ -103,44 +104,39 @@ def _check_connected(graph: PoseGraph) -> None:
 def detect_loop_closures(
     scans: list[ProjectedScan],
     poses: list[PlanarPose],
-    matcher_config: MatcherConfig | None = None,
     min_index_gap: int = 10,
     max_distance: float = 2.0,
     max_cost: float = 0.01,
     min_inlier_ratio: float = 0.6,
-    stride: int = 1,
-    max_candidates: int | None = None,
-    max_per_node: int | None = None,
 ) -> tuple[list[GraphEdge], int]:
     """Find loop-closure edges among non-adjacent nodes.
 
-    Candidates are node pairs more than min_index_gap apart in index whose
-    estimated positions lie within max_distance. Each candidate is matched;
-    an edge is kept only when the match converges under the cost gate with
-    enough inliers. Returns (edges, rejected_candidate_count) in a
-    deterministic order.
+    Candidates are node pairs on the LOOP_STRIDE grid more than
+    min_index_gap apart in index whose estimated positions lie within
+    max_distance; pairs with a node that already has LOOP_MAX_PER_NODE
+    closures are skipped, and enumeration stops after LOOP_MAX_CANDIDATES
+    matched pairs. An edge is kept only when the match converges under the
+    cost gate with enough inliers. Returns (edges, rejected_candidate_count)
+    in a deterministic order.
     """
     if len(scans) != len(poses):
         raise ValueError("scans and poses length mismatch")
-    cfg = matcher_config if matcher_config is not None else MatcherConfig()
     xy = np.array([[p.x, p.y] for p in poses]) if poses else np.empty((0, 2))
     edges: list[GraphEdge] = []
     rejected = 0
     evaluated = 0
     accepted_count = {i: 0 for i in range(len(scans))}
-    for i in range(0, len(scans), max(stride, 1)):
-        for j in range(i + min_index_gap + 1, len(scans), max(stride, 1)):
-            if max_candidates is not None and evaluated >= max_candidates:
+    for i in range(0, len(scans), LOOP_STRIDE):
+        for j in range(i + min_index_gap + 1, len(scans), LOOP_STRIDE):
+            if evaluated >= LOOP_MAX_CANDIDATES:
                 return edges, rejected
-            if max_per_node is not None and (
-                accepted_count[i] >= max_per_node or accepted_count[j] >= max_per_node
-            ):
+            if accepted_count[i] >= LOOP_MAX_PER_NODE or accepted_count[j] >= LOOP_MAX_PER_NODE:
                 continue
             if float(np.linalg.norm(xy[i] - xy[j])) >= max_distance:
                 continue
             evaluated += 1
             guess = compose(inverse(poses[i]), poses[j])
-            result = match_scans(scans[i], scans[j], initial_guess=guess, config=cfg)
+            result = match_scans(scans[i], scans[j], initial_guess=guess)
             ratio = result.inlier_count / max(len(scans[j]), 1)
             if result.converged and result.final_cost <= max_cost and ratio >= min_inlier_ratio:
                 edges.append(GraphEdge(i, j, result.relative_pose, kind="loop_closure"))
@@ -160,16 +156,16 @@ def relative_pose_residual(
     pose_i: PlanarPose,
     pose_j: PlanarPose,
     measured: PlanarPose,
-    weights: SolverWeights,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted mismatch between the estimated and measured relative pose.
 
     The residual is [sqrt(tw)*dx, sqrt(tw)*dy, sqrt(rw)*dtheta] of the
-    error transform (estimated relative)^-1 * measured; it vanishes when
-    the poses agree with the measurement.
+    error transform (estimated relative)^-1 * measured, with tw and rw the
+    TRANSLATION_WEIGHT and ROTATION_WEIGHT; it vanishes when the poses
+    agree with the measurement.
     """
-    sqrt_t = math.sqrt(weights.translation)
-    sqrt_r = math.sqrt(weights.rotation)
+    sqrt_t = math.sqrt(TRANSLATION_WEIGHT)
+    sqrt_r = math.sqrt(ROTATION_WEIGHT)
     u = np.array([pose_j.x - pose_i.x, pose_j.y - pose_i.y])
     tm = np.array([measured.x, measured.y])
     a = pose_i.theta - pose_j.theta
@@ -221,8 +217,6 @@ def _pass(
     states: np.ndarray,
     graph: PoseGraph,
     index: dict[int, int],
-    weights: SolverWeights,
-    loss: HuberLoss,
     with_derivatives: bool,
 ):
     """One sweep over all relative-pose residual blocks.
@@ -241,11 +235,11 @@ def _pass(
     for edge in graph.edges:
         ki, kj = index[edge.from_id], index[edge.to_id]
         pose_i, pose_j = pose_of(ki), pose_of(kj)
-        r, jac_i, jac_j = relative_pose_residual(pose_i, pose_j, edge.measured, weights)
+        r, jac_i, jac_j = relative_pose_residual(pose_i, pose_j, edge.measured)
         norm = float(np.linalg.norm(r))
-        objective += float(loss.values(np.array([norm]))[0])
+        objective += float(EDGE_LOSS.values(np.array([norm]))[0])
         if with_derivatives:
-            w = float(loss.weights(np.array([norm]))[0])
+            w = float(EDGE_LOSS.weights(np.array([norm]))[0])
             si, sj = 3 * ki, 3 * kj
             h[si : si + 3, si : si + 3] += w * jac_i.T @ jac_i
             h[sj : sj + 3, sj : sj + 3] += w * jac_j.T @ jac_j
@@ -257,23 +251,13 @@ def _pass(
     return objective, h, g
 
 
-def objective(
-    graph: PoseGraph,
-    weights: SolverWeights,
-    loss: HuberLoss | None = None,
-) -> float:
+def objective(graph: PoseGraph) -> float:
     """Robust objective at the graph's current poses."""
-    loss = loss if loss is not None else HuberLoss(0.1)
-    value, _, _ = _pass(_pose_array(graph), graph, _graph_index(graph), weights, loss, False)
+    value, _, _ = _pass(_pose_array(graph), graph, _graph_index(graph), False)
     return value
 
 
-def optimize(
-    graph: PoseGraph,
-    weights: SolverWeights | None = None,
-    loss: HuberLoss | None = None,
-    config: OptimizeConfig | None = None,
-) -> OptimizeResult:
+def optimize(graph: PoseGraph, config: OptimizeConfig | None = None) -> OptimizeResult:
     """Damped least-squares refinement of all poses except the anchor.
 
     The node with id 0 is the gauge anchor and comes back bitwise
@@ -282,8 +266,6 @@ def optimize(
     termination is by relative objective change or the iteration cap, and
     a non-converged run still returns its best iterate, flagged.
     """
-    weights = weights if weights is not None else SolverWeights()
-    loss = loss if loss is not None else HuberLoss(0.1)
     cfg = config if config is not None else OptimizeConfig()
     index = _graph_index(graph)
     if 0 not in index:
@@ -293,11 +275,11 @@ def optimize(
     free = np.ones(3 * len(graph.nodes), dtype=bool)
     free[3 * anchor : 3 * anchor + 3] = False
     if not np.any(free):
-        value = objective(graph, weights, loss)
+        value = objective(graph)
         return OptimizeResult(graph, True, 0, value, value)
 
     states = _pose_array(graph)
-    value, h, g = _pass(states, graph, index, weights, loss, True)
+    value, h, g = _pass(states, graph, index, True)
     initial = value
     damping = cfg.initial_damping
     converged = False
@@ -317,7 +299,7 @@ def optimize(
         cand_flat = cand.reshape(-1)
         cand_flat[free] += step
         cand[:, 2] = np.array([wrap_angle(t) for t in cand[:, 2]])
-        cand_value, cand_h, cand_g = _pass(cand, graph, index, weights, loss, True)
+        cand_value, cand_h, cand_g = _pass(cand, graph, index, True)
         if cand_value <= value:
             drop = value - cand_value
             states, value, h, g = cand, cand_value, cand_h, cand_g

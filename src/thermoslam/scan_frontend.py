@@ -11,7 +11,7 @@ its line-point search tree once, however often it is matched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +31,25 @@ from .core import (
 
 DOWN = np.array([0.0, 0.0, -1.0])
 MIN_POINT_NORM = 1e-9  # leveled points closer to the origin are zero-range
+
+# Normal neighborhood: the nearest NORMAL_NEIGHBORS points, of which those
+# within NORMAL_RADIUS (m) count; a line-like patch has its smaller over
+# larger covariance eigenvalue at most NORMAL_FLATNESS.
+NORMAL_NEIGHBORS = 8
+NORMAL_RADIUS = 0.3
+NORMAL_FLATNESS = 0.02
+
+# Scan matcher. A beam pairs with the nearest reference line point within
+# DISTANCE_GATE (m) whose normal agrees within NORMAL_ANGLE_GATE; beams
+# without a pair saturate at the gate. A match converges only with at
+# least MIN_INLIERS pairs.
+MAX_ITERATIONS = 50
+UPDATE_TOLERANCE = 1e-6
+DISTANCE_GATE = 0.5
+NORMAL_ANGLE_GATE = math.radians(45.0)
+MIN_INLIERS = 25
+MATCH_LOSS = HuberLoss(0.1)
+INITIAL_DAMPING = 1e-4
 
 
 class DegenerateScanError(ValueError):
@@ -98,23 +117,6 @@ class MatchResult:
     final_cost: float
     inlier_count: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class MatcherConfig:
-    """Scan-matcher settings.
-
-    The normal neighborhood is not among them: every scan estimates its
-    normals once, with :func:`estimate_normals` at its defaults.
-    """
-
-    max_iterations: int = 50
-    update_tolerance: float = 1e-6
-    distance_gate: float = 0.5
-    normal_angle_gate: float = math.radians(45.0)
-    min_inliers: int = 25
-    huber: HuberLoss = field(default_factory=lambda: HuberLoss(0.1))
-    initial_damping: float = 1e-4
 
 
 def filter_gravity(samples: list[ImuSample], alpha: float = 0.05) -> list[GravityVector]:
@@ -212,29 +214,24 @@ def gravity_project(scan: Scan2D, gravity: GravityVector) -> ProjectedScan:
     return ProjectedScan(scan.stamp, xy)
 
 
-def estimate_normals(
-    points: np.ndarray,
-    neighbors: int = 8,
-    radius: float = 0.3,
-    flatness: float = 0.02,
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point 2D normals from local neighborhoods.
 
-    Returns (normals, valid). A normal is valid when at least 3 neighbors
-    fall within the radius and the neighborhood is line-like (smaller over
-    larger covariance eigenvalue at most ``flatness``); corner
-    neighborhoods mixing two surfaces fail that test and would otherwise
-    yield diagonal normals biasing registration. Normals are oriented to
-    face the sensor origin.
+    Returns (normals, valid). A normal is valid when at least 3 of the
+    NORMAL_NEIGHBORS nearest points fall within NORMAL_RADIUS and the
+    neighborhood is line-like (smaller over larger covariance eigenvalue
+    at most NORMAL_FLATNESS); corner neighborhoods mixing two surfaces
+    fail that test and would otherwise yield diagonal normals biasing
+    registration. Normals are oriented to face the sensor origin.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    k = min(neighbors, n)
+    k = min(NORMAL_NEIGHBORS, n)
     tree = cKDTree(pts)
     dist, idx = tree.query(pts, k=k)
     if k == 1:
         dist, idx = dist[:, None], idx[:, None]
-    near = dist <= radius
+    near = dist <= NORMAL_RADIUS
     counts = near.sum(axis=1)
     valid = counts >= 3
     nbr = pts[idx]  # (n, k, 2)
@@ -246,13 +243,13 @@ def estimate_normals(
     eigvals, eigvecs = np.linalg.eigh(cov)
     normals = eigvecs[:, :, 0]  # eigenvector of the smaller eigenvalue
     valid &= eigvals[:, 1] > 1e-12
-    valid &= eigvals[:, 0] <= flatness * eigvals[:, 1]
+    valid &= eigvals[:, 0] <= NORMAL_FLATNESS * eigvals[:, 1]
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals[flip] *= -1.0
     return normals, valid
 
 
-def associate(reference: ProjectedScan, moving: ProjectedScan, state: np.ndarray, cfg: MatcherConfig):
+def associate(reference: ProjectedScan, moving: ProjectedScan, state: np.ndarray):
     """Place the moving scan at state and pair its points with reference lines.
 
     Returns (cost, moved, idx, line, line_res): the normalized robust cost,
@@ -271,24 +268,22 @@ def associate(reference: ProjectedScan, moving: ProjectedScan, state: np.ndarray
         line_res = np.zeros(n_mov)
     else:
         dist, idx = tree.query(moved)
-        within = dist <= cfg.distance_gate
+        within = dist <= DISTANCE_GATE
         mov_normals, mov_valid = moving.normals
         rotated_normals = mov_normals @ rot.T
         agreement = np.abs(np.einsum("ni,ni->n", rotated_normals, line_normals[idx]))
         # Both sides must present a trustworthy flat patch and the patches
         # must agree in orientation; a mover with an unknown normal cannot
         # be told apart from a cross-surface mismatch, so it saturates.
-        line = within & mov_valid & (agreement >= math.cos(cfg.normal_angle_gate))
+        line = within & mov_valid & (agreement >= math.cos(NORMAL_ANGLE_GATE))
         line_res = np.einsum("ni,ni->n", line_normals[idx], moved - line_points[idx])
-    norms = np.full(n_mov, cfg.distance_gate)
+    norms = np.full(n_mov, DISTANCE_GATE)
     norms[line] = np.abs(line_res[line])
-    cost = float(cfg.huber.values(norms).sum() / n_mov)
+    cost = float(MATCH_LOSS.values(norms).sum() / n_mov)
     return cost, moved, idx, line, line_res
 
 
-def normal_equations(
-    reference: ProjectedScan, state: np.ndarray, association: tuple, cfg: MatcherConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def normal_equations(reference: ProjectedScan, state: np.ndarray, association: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Huber-weighted Gauss-Newton system (H, g) of an association's pairs."""
     _, moved, idx, line, line_res = association
     _, line_normals, _ = reference.line_points
@@ -300,23 +295,21 @@ def normal_equations(
         nrm = line_normals[idx[line]]
         res = line_res[line]
         jac = np.column_stack([nrm, np.einsum("ni,ni->n", nrm, dtheta)])
-        w = cfg.huber.weights(np.abs(res))
+        w = MATCH_LOSS.weights(np.abs(res))
         h += np.einsum("n,ni,nj->ij", w, jac, jac)
         g += np.einsum("n,ni,n->i", w, jac, res)
     return h, g
 
 
-def matching_cost(reference: ProjectedScan, moving: ProjectedScan, pose: PlanarPose, config: MatcherConfig | None = None) -> float:
+def matching_cost(reference: ProjectedScan, moving: ProjectedScan, pose: PlanarPose) -> float:
     """Normalized robust matching cost of a pose (diagnostic)."""
-    cfg = config if config is not None else MatcherConfig()
-    return associate(reference, moving, np.array([pose.x, pose.y, pose.theta]), cfg)[0]
+    return associate(reference, moving, np.array([pose.x, pose.y, pose.theta]))[0]
 
 
 def match_scans(
     reference: ProjectedScan,
     moving: ProjectedScan,
     initial_guess: PlanarPose = PlanarPose(),
-    config: MatcherConfig | None = None,
 ) -> MatchResult:
     """Estimate the pose taking moving-scan points into the reference frame.
 
@@ -327,16 +320,15 @@ def match_scans(
     correspondence saturate at the distance gate. The cost at the
     returned pose never exceeds the cost at the initial guess.
     """
-    cfg = config if config is not None else MatcherConfig()
     if len(reference) < 2 or len(moving) < 2:
         raise DegenerateScanError("matching needs at least 2 points per scan")
     state = np.array([initial_guess.x, initial_guess.y, initial_guess.theta])
-    assoc = associate(reference, moving, state, cfg)
+    assoc = associate(reference, moving, state)
     cost = assoc[0]
-    damping = cfg.initial_damping
+    damping = INITIAL_DAMPING
     converged = False
-    for _ in range(cfg.max_iterations):
-        h, g = normal_equations(reference, state, assoc, cfg)
+    for _ in range(MAX_ITERATIONS):
+        h, g = normal_equations(reference, state, assoc)
         scale = np.diag(np.maximum(np.diag(h), 1e-12))
         try:
             step = np.linalg.solve(h + damping * scale, -g)
@@ -344,8 +336,8 @@ def match_scans(
             break
         candidate = state + step
         candidate[2] = wrap_angle(candidate[2])
-        cand_assoc = associate(reference, moving, candidate, cfg)
-        small = float(np.linalg.norm(step)) < cfg.update_tolerance
+        cand_assoc = associate(reference, moving, candidate)
+        small = float(np.linalg.norm(step)) < UPDATE_TOLERANCE
         if cand_assoc[0] <= cost:
             state, assoc, cost = candidate, cand_assoc, cand_assoc[0]
             damping = max(damping * 0.1, 1e-12)
@@ -363,7 +355,7 @@ def match_scans(
             if damping > 1e10:
                 break
     inliers = int(np.count_nonzero(assoc[3]))
-    converged = converged and inliers >= cfg.min_inliers
+    converged = converged and inliers >= MIN_INLIERS
     return MatchResult(
         relative_pose=PlanarPose(float(state[0]), float(state[1]), float(state[2])),
         final_cost=cost,

@@ -34,7 +34,6 @@ from thermoslam import (
     ProjectedScan,
     Scan2D,
     SiteModel,
-    SolverWeights,
     ThermalPointCloud,
     TrajectorySpec,
     Vec3,
@@ -239,7 +238,6 @@ def test_criterion_03_jacobians_match_central_differences():
     # in under 5 s.
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
-    weights = SolverWeights(translation=5.0, rotation=400.0)
     h = 1e-6
 
     def central_diff(fun, params):
@@ -269,9 +267,9 @@ def test_criterion_03_jacobians_match_central_differences():
         xi = np.array([pose_i.x, pose_i.y, pose_i.theta])
         xj = np.array([pose_j.x, pose_j.y, pose_j.theta])
 
-        _, ji, jj = relative_pose_residual(pose_i, pose_j, measured, weights)
-        fd_i = central_diff(lambda p: relative_pose_residual(PlanarPose(*p), pose_j, measured, weights)[0], xi)
-        fd_j = central_diff(lambda p: relative_pose_residual(pose_i, PlanarPose(*p), measured, weights)[0], xj)
+        _, ji, jj = relative_pose_residual(pose_i, pose_j, measured)
+        fd_i = central_diff(lambda p: relative_pose_residual(PlanarPose(*p), pose_j, measured)[0], xi)
+        fd_j = central_diff(lambda p: relative_pose_residual(pose_i, PlanarPose(*p), measured)[0], xj)
         assert agrees(ji, fd_i)
         assert agrees(jj, fd_j)
 
@@ -310,10 +308,8 @@ def test_criterion_04_loop_closure_vs_dense_least_squares():
     nodes = [GraphNode(k, init[k]) for k in range(20)]
     edges = [GraphEdge(k, k + 1, measured[k]) for k in range(19)]
     edges.append(GraphEdge(0, 19, compose(inverse(true_poses[0]), true_poses[19]), kind="loop_closure"))
-    weights = SolverWeights(translation=5.0, rotation=400.0)
     result = optimize(
         PoseGraph(nodes, edges),
-        weights,
         config=OptimizeConfig(max_iterations=300, relative_tolerance=1e-12),
     )
     assert result.converged
@@ -333,7 +329,7 @@ def test_criterion_04_loop_closure_vs_dense_least_squares():
         return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
 
     edge_list = [(e.from_id, e.to_id, mat(e.measured.x, e.measured.y, e.measured.theta)) for e in edges]
-    sw_t, sw_r = math.sqrt(weights.translation), math.sqrt(weights.rotation)
+    sw_t, sw_r = math.sqrt(5.0), math.sqrt(400.0)
 
     def residuals(x):
         poses = [mat(0.0, 0.0, 0.0)] + [mat(*x[3 * k : 3 * k + 3]) for k in range(19)]

@@ -644,27 +644,12 @@ def test_cli_map_bad_inputs(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 
-    session = tmp_path / "session"
-    save_session(_small_dataset(), session)
-    # Keys of the removed point-pair refinement, of the fixed normal
-    # neighborhood and zero-range threshold, and of the removed
-    # nearest-pixel sampling are rejected, not ignored.
-    for k, (key, config) in enumerate(
-        [
-            ("delta", {"matcher": {"delta": 1.0}}),
-            ("refine_rounds", {"refine_rounds": 3}),
-            ("thermal", {"weights": {"thermal": 1.0}}),
-            ("min_point_norm", {"matcher": {"min_point_norm": 1e-6}}),
-            ("normal_neighbors", {"matcher": {"normal_neighbors": 10}}),
-            ("normal_radius", {"matcher": {"normal_radius": 0.4}}),
-            ("normal_flatness", {"matcher": {"normal_flatness": 0.05}}),
-            ("bilinear", {"bilinear": False}),
-        ]
-    ):
-        bad_cfg = _write_json(tmp_path / f"cfg{k}.json", config)
-        rc = main(["map", "--session", str(session), "--config", bad_cfg, "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert key in capsys.readouterr().err
+    # Mapping settings are fixed in the modules that apply them; there is
+    # no config file to pass.
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--session", str(tmp_path / "missing"), "--config", "x", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_cli_full_workflow(tmp_path, capsys):
@@ -684,12 +669,8 @@ def test_cli_full_workflow(tmp_path, capsys):
         assert (session / name).is_file()
     assert (session / "thermal" / "index.csv").is_file()
 
-    config = _write_json(
-        tmp_path / "config.json",
-        {"matcher": {"huber_delta": 0.1}, "weights": {"translation": 5.0, "rotation": 400.0}},
-    )
     mapped = tmp_path / "mapped"
-    rc = main(["map", "--session", str(session), "--config", config, "--out", str(mapped)])
+    rc = main(["map", "--session", str(session), "--out", str(mapped)])
     assert rc == 0
     assert "mapped" in capsys.readouterr().out
     diagnostics = read_report(mapped / "diagnostics.txt")

@@ -12,7 +12,6 @@ from thermoslam import (
     PlanarPose,
     PoseGraph,
     ProjectedScan,
-    SolverWeights,
     compose,
     detect_loop_closures,
     inverse,
@@ -23,12 +22,6 @@ from thermoslam.pose_graph import objective, relative_pose_residual
 
 # ---------------------------------------------------------------------------
 # Containers.
-
-
-def test_solver_weights_validation():
-    SolverWeights(0.0, 0.0)
-    with pytest.raises(ValueError):
-        SolverWeights(translation=-1.0)
 
 
 def test_graph_edge_validation():
@@ -56,25 +49,23 @@ def test_pose_graph_validation_and_lookup():
 
 def test_relative_pose_residual_zero_when_consistent():
     rng = np.random.default_rng(9)
-    weights = SolverWeights()
     for _ in range(50):
         pose_i = PlanarPose(*rng.uniform(-3, 3, 3))
         measured = PlanarPose(*rng.uniform(-1, 1, 3))
         pose_j = compose(pose_i, measured)
-        r, _, _ = relative_pose_residual(pose_i, pose_j, measured, weights)
+        r, _, _ = relative_pose_residual(pose_i, pose_j, measured)
         assert np.abs(r).max() < 1e-12
 
 
 def test_relative_pose_residual_is_gauge_invariant():
     rng = np.random.default_rng(10)
-    weights = SolverWeights()
     for _ in range(20):
         pose_i = PlanarPose(*rng.uniform(-3, 3, 3))
         pose_j = PlanarPose(*rng.uniform(-3, 3, 3))
         measured = PlanarPose(*rng.uniform(-1, 1, 3))
         gauge = PlanarPose(*rng.uniform(-5, 5, 3))
-        r0, _, _ = relative_pose_residual(pose_i, pose_j, measured, weights)
-        r1, _, _ = relative_pose_residual(compose(gauge, pose_i), compose(gauge, pose_j), measured, weights)
+        r0, _, _ = relative_pose_residual(pose_i, pose_j, measured)
+        r1, _, _ = relative_pose_residual(compose(gauge, pose_i), compose(gauge, pose_j), measured)
         assert np.allclose(r0, r1, atol=1e-9)
 
 
@@ -107,7 +98,7 @@ def _chain_graph(n: int = 5, perturb: float = 0.0, seed: int = 0):
 
 def test_objective_zero_on_consistent_chain():
     graph, _ = _chain_graph()
-    assert objective(graph, SolverWeights()) < 1e-20
+    assert objective(graph) < 1e-20
 
 
 def test_optimize_consistent_chain_is_fixed_point():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from thermoslam import (
-    MatcherConfig,
     PlanarPose,
     Scan2D,
     Vec3,
@@ -17,6 +16,9 @@ from thermoslam import (
 from thermoslam.cli_io import run_mapping
 from thermoslam.core import GravityVector, ImuSample
 from thermoslam.scan_frontend import (
+    DISTANCE_GATE,
+    MATCH_LOSS,
+    NORMAL_RADIUS,
     DegenerateScanError,
     ProjectedScan,
     associate_gravity,
@@ -158,8 +160,10 @@ def test_estimate_normals_rejects_corner_neighborhoods():
 
 
 def test_estimate_normals_needs_three_neighbors_in_radius():
+    # Points 0.5 m apart have no neighbor within the normal radius.
+    assert NORMAL_RADIUS < 0.5
     pts = np.column_stack([np.arange(6) * 0.5, np.full(6, 2.0)])
-    _, valid = estimate_normals(pts, radius=0.3)
+    _, valid = estimate_normals(pts)
     assert not valid.any()
     _, valid_two = estimate_normals(np.array([[0.0, 2.0], [0.5, 2.0]]))
     assert not valid_two.any()
@@ -225,28 +229,26 @@ def test_match_scans_reports_failure_without_overlap():
 
 
 def test_matching_cost_saturates_at_distance_gate():
-    cfg = MatcherConfig()
     ref = ProjectedScan(0, _square_points(120))
     mov = ProjectedScan(1, _square_points(120) + 100.0)
-    cost = matching_cost(ref, mov, PlanarPose(), cfg)
-    gate = cfg.huber.values(np.array([cfg.distance_gate]))[0]
+    cost = matching_cost(ref, mov, PlanarPose())
+    gate = MATCH_LOSS.values(np.array([DISTANCE_GATE]))[0]
     assert cost == pytest.approx(gate)
 
 
 def test_match_scans_keeps_guess_when_reference_has_no_line_points():
     # 12 points on a 5 m circle lie about 2.6 m apart: no point has the 3
     # neighbors within 0.3 m a normal needs, so the reference has no lines.
-    cfg = MatcherConfig()
     a = np.arange(12) * (2.0 * math.pi / 12)
     ref = ProjectedScan(0, 5.0 * np.column_stack([np.cos(a), np.sin(a)]))
     mov = ProjectedScan(1, _square_points(120))
     guess = PlanarPose(0.3, -0.2, 0.1)
-    result = match_scans(ref, mov, initial_guess=guess, config=cfg)
+    result = match_scans(ref, mov, initial_guess=guess)
     assert not result.converged
     assert result.inlier_count == 0
     assert result.relative_pose == guess
-    saturated = cfg.huber.values(np.array([cfg.distance_gate]))[0]
-    assert result.final_cost == matching_cost(ref, mov, guess, cfg) == saturated
+    saturated = MATCH_LOSS.values(np.array([DISTANCE_GATE]))[0]
+    assert result.final_cost == matching_cost(ref, mov, guess) == saturated
 
 
 def test_each_scan_estimates_normals_once(monkeypatch):
