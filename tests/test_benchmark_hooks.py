@@ -1,8 +1,9 @@
 """The benchmark's traced run replaces module attributes by name.
 
 ``perfbench/tracing.py`` lists them in ``PATCHES`` as (module, name, layer).
-A refactor that moves or renames one of those functions would otherwise
-only surface when the traced benchmark runs.
+A refactor that moves or renames one of those functions, or moves a call
+so it no longer goes through the patched name, would otherwise only
+surface when the traced benchmark runs.
 """
 
 from __future__ import annotations
@@ -10,7 +11,11 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from thermoslam import NoiseSpec, TrajectorySpec, rectangle_site, simulate_session
+from thermoslam.cli_io import pipeline
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -33,3 +38,18 @@ def test_every_patched_name_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"thermoslam.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_mapping_records_every_layer_span(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    # Out and back along one wall: the return leg revisits the outward
+    # leg's keyframes, so loop detection has candidates to match.
+    traj = TrajectorySpec(waypoints=((1.0, 1.0), (2.0, 1.0), (1.0, 1.0)), speed=1.0, thermal_rate=2.0)
+    dataset = simulate_session(rectangle_site(), traj, NoiseSpec(), seed=3)
+    recorder = tracing.Recorder()
+    with recorder.installed():
+        pipeline.run_mapping(dataset)
+    spans = Counter(recorder.names)
+    expected = [f"{module}.{name}" for module, name, _ in tracing.PATCHES if module == "cli_io.pipeline"]
+    expected += ["pose_graph.match_scans", "scan_frontend.estimate_normals", "thermal_map.voxel_thin"]
+    assert [name for name in expected if spans[name] == 0] == []
