@@ -123,16 +123,15 @@ def _check_stamps(path: Path, stamps: list[int]) -> None:
             raise _fail(path, k + 2, f"timestamp {stamps[k]} {how} (previous {stamps[k - 1]})")
 
 
+def _one_line(text: str) -> bool:
+    """True for ASCII text without a line break; the empty string counts."""
+    return text.isascii() and text.splitlines() in ([], [text])
+
+
 def _bare_name(name: str, path: Path, line: int, what: str) -> str:
     """A file name that stays inside the directory of the table naming it
     and fits in one field of one ASCII row."""
-    if (
-        not name
-        or name.startswith(".")
-        or any(c in name for c in "/\\,")
-        or not name.isascii()
-        or name.splitlines() != [name]
-    ):
+    if not name or name.startswith(".") or any(c in name for c in "/\\,") or not _one_line(name):
         raise _fail(path, line, f"bad {what} file name {name!r}")
     return name
 
@@ -591,14 +590,26 @@ def read_ply(path: Path) -> ThermalPointCloud:
 
 
 def write_report(path: Path, entries: dict[str, object]) -> None:
+    """One 'key = value' line per entry, in order.
+
+    Refuses, before writing anything, an entry that read_report would not
+    return as written: a key or value that is not one ASCII line, or a key
+    holding the ' = ' separator or ending in ' =' (the row would split
+    early).
+    """
+    path = Path(path)
     lines = []
-    for key, value in entries.items():
+    for lineno, (key, value) in enumerate(entries.items(), start=1):
         if isinstance(value, bool):
             rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = _fmt(value)
         else:
             rendered = str(value)
+        if not (_one_line(key) and _one_line(rendered)):
+            raise _fail(path, lineno, f"entry {key!r} = {rendered!r} is not one ASCII line")
+        if " = " in f"{key} =":
+            raise _fail(path, lineno, f"key {key!r} would split at an inner ' = '")
         lines.append(f"{key} = {rendered}")
     _write_lines(path, lines)
 

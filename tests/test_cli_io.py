@@ -497,6 +497,29 @@ def test_report_roundtrip(tmp_path):
     assert str(err.value) == f"{path}:3: duplicate key 'a'"
 
 
+@pytest.mark.parametrize(
+    "entries, reason",
+    [
+        ({"a = b": 1}, "key 'a = b' would split at an inner ' = '"),
+        ({"a =": 1}, "key 'a =' would split at an inner ' = '"),
+        ({"a\nb": 1}, "entry 'a\\nb' = '1' is not one ASCII line"),
+        ({"note": "x\ny"}, "entry 'note' = 'x\\ny' is not one ASCII line"),
+        ({"note": "x\ry"}, "entry 'note' = 'x\\ry' is not one ASCII line"),
+        ({"note": "\u00b0C"}, "entry 'note' = '\u00b0C' is not one ASCII line"),
+    ],
+    ids=["separator_in_key", "key_ends_in_separator", "newline_in_key", "newline_in_value", "return_in_value", "non_ascii"],
+)
+def test_report_writer_rejects_what_its_reader_splits(tmp_path, entries, reason):
+    path = tmp_path / "report.txt"
+    with pytest.raises(DatasetFormatError) as err:
+        write_report(path, {"points": 42, **entries})
+    assert str(err.value) == f"{path}:2: {reason}"
+    assert list(tmp_path.iterdir()) == []
+    # What the writer accepts, the reader returns unchanged.
+    write_report(path, {"a": "b = c", "b=": "", " c ": " = "})
+    assert read_report(path) == {"a": "b = c", "b=": "", " c ": " = "}
+
+
 def _pinned_session() -> SessionDataset:
     calib = _small_calib()
     ramp = np.arange(48.0).reshape(6, 8)
