@@ -32,9 +32,7 @@ from .core import (
 DOWN = np.array([0.0, 0.0, -1.0])
 MIN_POINT_NORM = 1e-9  # leveled points closer to the origin are zero-range
 
-# Normal neighborhood: the nearest NORMAL_NEIGHBORS points, of which those
-# within NORMAL_RADIUS (m) count; a line-like patch has its smaller over
-# larger covariance eigenvalue at most NORMAL_FLATNESS.
+# Normal neighborhood of estimate_normals (NORMAL_RADIUS in m).
 NORMAL_NEIGHBORS = 8
 NORMAL_RADIUS = 0.3
 NORMAL_FLATNESS = 0.02
