@@ -154,10 +154,8 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     for k in range(1, len(projected)):
         guess = compose(rel_to_kf, last_step)
         result = match_scans(projected[kf_indices[-1]], projected[k], initial_guess=guess)
-        if result.converged:
-            rel = result.relative_pose
-        else:
-            rel = guess
+        rel = result.relative_pose  # the guess when the match did not converge
+        if not result.converged:
             fallbacks += 1
         last_step = compose(inverse(rel_to_kf), rel)
         rel_to_kf = rel

@@ -107,8 +107,8 @@ class MatchResult:
     relative_pose maps moving-scan coordinates into the reference frame.
     final_cost is the normalized robust matching cost at that pose (beams
     without a valid correspondence saturate at the distance gate, so costs
-    are comparable across poses). A result that did not converge keeps the
-    caller's initial guess rather than silently claiming the identity.
+    are comparable across poses). A result that did not converge returns
+    the caller's initial guess with the cost and inlier count at that guess.
     """
 
     relative_pose: PlanarPose
@@ -321,7 +321,7 @@ def match_scans(
     if len(reference) < 2 or len(moving) < 2:
         raise DegenerateScanError("matching needs at least 2 points per scan")
     state = np.array([initial_guess.x, initial_guess.y, initial_guess.theta])
-    assoc = associate(reference, moving, state)
+    assoc = start = associate(reference, moving, state)
     cost = assoc[0]
     damping = INITIAL_DAMPING
     converged = False
@@ -353,10 +353,11 @@ def match_scans(
             if damping > 1e10:
                 break
     inliers = int(np.count_nonzero(assoc[3]))
-    converged = converged and inliers >= MIN_INLIERS
+    if not converged or inliers < MIN_INLIERS:
+        return MatchResult(initial_guess, start[0], int(np.count_nonzero(start[3])), False)
     return MatchResult(
         relative_pose=PlanarPose(float(state[0]), float(state[1]), float(state[2])),
         final_cost=cost,
         inlier_count=inliers,
-        converged=converged,
+        converged=True,
     )

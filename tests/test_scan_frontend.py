@@ -18,6 +18,7 @@ from thermoslam.core import GravityVector, ImuSample
 from thermoslam.scan_frontend import (
     DISTANCE_GATE,
     MATCH_LOSS,
+    MIN_INLIERS,
     NORMAL_RADIUS,
     DegenerateScanError,
     ProjectedScan,
@@ -226,6 +227,20 @@ def test_match_scans_reports_failure_without_overlap():
     assert result.inlier_count == 0
     # The caller's guess comes back instead of a fabricated pose.
     assert result.relative_pose == PlanarPose()
+
+
+def test_match_scans_returns_guess_when_too_few_inliers():
+    # The solver finds the 5 cm offset, but 20 pairs are under MIN_INLIERS:
+    # the result is the guess, with the guess's cost and inlier count.
+    assert MIN_INLIERS > 20
+    x = np.linspace(-1.0, 1.0, 20)
+    ref = ProjectedScan(0, np.column_stack([x, np.full(20, 1.0)]))
+    mov = ProjectedScan(1, np.column_stack([x, np.full(20, 1.05)]))
+    result = match_scans(ref, mov)
+    assert not result.converged
+    assert result.relative_pose == PlanarPose()
+    assert result.final_cost == matching_cost(ref, mov, PlanarPose()) > 0.0
+    assert result.inlier_count == 20
 
 
 def test_matching_cost_saturates_at_distance_gate():
