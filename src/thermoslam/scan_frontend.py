@@ -45,6 +45,7 @@ MAX_ITERATIONS = 50
 UPDATE_TOLERANCE = 1e-6
 DISTANCE_GATE = 0.5
 NORMAL_ANGLE_GATE = math.radians(45.0)
+COS_NORMAL_ANGLE_GATE = math.cos(NORMAL_ANGLE_GATE)
 MIN_INLIERS = 25
 MATCH_LOSS = HuberLoss(0.1)
 INITIAL_DAMPING = 1e-4
@@ -266,17 +267,15 @@ def associate(reference: ProjectedScan, moving: ProjectedScan, state: np.ndarray
         line_res = np.zeros(n_mov)
     else:
         dist, idx = tree.query(moved)
-        within = dist <= DISTANCE_GATE
+        ref_normals = line_normals[idx]
         mov_normals, mov_valid = moving.normals
-        rotated_normals = mov_normals @ rot.T
-        agreement = np.abs(np.einsum("ni,ni->n", rotated_normals, line_normals[idx]))
+        agreement = np.abs(np.einsum("ni,ni->n", mov_normals @ rot.T, ref_normals))
         # Both sides must present a trustworthy flat patch and the patches
         # must agree in orientation; a mover with an unknown normal cannot
         # be told apart from a cross-surface mismatch, so it saturates.
-        line = within & mov_valid & (agreement >= math.cos(NORMAL_ANGLE_GATE))
-        line_res = np.einsum("ni,ni->n", line_normals[idx], moved - line_points[idx])
-    norms = np.full(n_mov, DISTANCE_GATE)
-    norms[line] = np.abs(line_res[line])
+        line = (dist <= DISTANCE_GATE) & mov_valid & (agreement >= COS_NORMAL_ANGLE_GATE)
+        line_res = np.einsum("ni,ni->n", ref_normals, moved - line_points[idx])
+    norms = np.where(line, np.abs(line_res), DISTANCE_GATE)
     cost = float(MATCH_LOSS.values(norms).sum() / n_mov)
     return cost, moved, idx, line, line_res
 
@@ -325,8 +324,10 @@ def match_scans(
     cost = assoc[0]
     damping = INITIAL_DAMPING
     converged = False
+    # (h, g) depend only on the state and its association, so they are
+    # rebuilt after an accepted step and reused after a rejected one.
+    h, g = normal_equations(reference, state, assoc)
     for _ in range(MAX_ITERATIONS):
-        h, g = normal_equations(reference, state, assoc)
         scale = np.diag(np.maximum(np.diag(h), 1e-12))
         try:
             step = np.linalg.solve(h + damping * scale, -g)
@@ -342,6 +343,7 @@ def match_scans(
             converged = True  # survives loop exhaustion: cost still decreasing
             if small:
                 break
+            h, g = normal_equations(reference, state, assoc)
         else:
             damping *= 10.0
             if small:
