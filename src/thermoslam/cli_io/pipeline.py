@@ -149,11 +149,13 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     kf_relatives: list[PlanarPose] = []
     scan_poses = [PlanarPose()]
     fallbacks = 0
+    odometry_associations = 0
     rel_to_kf = PlanarPose()
     last_step = PlanarPose()
     for k in range(1, len(projected)):
         guess = compose(rel_to_kf, last_step)
         result = match_scans(projected[kf_indices[-1]], projected[k], initial_guess=guess)
+        odometry_associations += result.associations
         rel = result.relative_pose  # the guess when the match did not converge
         if not result.converged:
             fallbacks += 1
@@ -201,7 +203,7 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         )
         frames_used += 1
 
-    loop_edges, loop_rejected = detect_loop_closures(kf_scans, kf_poses)
+    loop_edges, loop_rejected, loop_associations = detect_loop_closures(kf_scans, kf_poses)
 
     nodes = [GraphNode(n, pose) for n, pose in enumerate(kf_poses)]
     edges: list[GraphEdge] = [
@@ -222,12 +224,14 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         "scans_degenerate": degenerate,
         "keyframes": len(kf_indices),
         "odometry_fallbacks": fallbacks,
+        "odometry_associations": odometry_associations,
         "frames_total": len(dataset.frames),
         "frames_used": frames_used,
         "frames_outside_window": frames_far,
         "frames_unsteady": frames_unsteady,
         "loop_edges": len(loop_edges),
         "loop_rejected": loop_rejected,
+        "loop_associations": loop_associations,
         "pgo_converged": solved.converged,
         "pgo_iterations": solved.iterations,
         "pgo_initial_objective": solved.initial_objective,

@@ -116,8 +116,9 @@ def detect_loop_closures(
     max_distance; pairs with a node that already has LOOP_MAX_PER_NODE
     closures are skipped, and enumeration stops after LOOP_MAX_CANDIDATES
     matched pairs. An edge is kept only when the match converges under the
-    cost gate with enough inliers. Returns (edges, rejected_candidate_count)
-    in a deterministic order.
+    cost gate with enough inliers. Returns (edges, rejected_candidate_count,
+    associations) in a deterministic order; associations sums the matches'
+    :attr:`MatchResult.associations`.
     """
     if len(scans) != len(poses):
         raise ValueError("scans and poses length mismatch")
@@ -125,11 +126,12 @@ def detect_loop_closures(
     edges: list[GraphEdge] = []
     rejected = 0
     evaluated = 0
+    associations = 0
     accepted_count = {i: 0 for i in range(len(scans))}
     for i in range(0, len(scans), LOOP_STRIDE):
         for j in range(i + min_index_gap + 1, len(scans), LOOP_STRIDE):
             if evaluated >= LOOP_MAX_CANDIDATES:
-                return edges, rejected
+                return edges, rejected, associations
             if accepted_count[i] >= LOOP_MAX_PER_NODE or accepted_count[j] >= LOOP_MAX_PER_NODE:
                 continue
             if float(np.linalg.norm(xy[i] - xy[j])) >= max_distance:
@@ -137,6 +139,7 @@ def detect_loop_closures(
             evaluated += 1
             guess = compose(inverse(poses[i]), poses[j])
             result = match_scans(scans[i], scans[j], initial_guess=guess)
+            associations += result.associations
             ratio = result.inlier_count / max(len(scans[j]), 1)
             if result.converged and result.final_cost <= max_cost and ratio >= min_inlier_ratio:
                 edges.append(GraphEdge(i, j, result.relative_pose, kind="loop_closure"))
@@ -144,7 +147,7 @@ def detect_loop_closures(
                 accepted_count[j] += 1
             else:
                 rejected += 1
-    return edges, rejected
+    return edges, rejected, associations
 
 
 # ---------------------------------------------------------------------------

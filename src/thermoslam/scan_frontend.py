@@ -110,12 +110,14 @@ class MatchResult:
     without a valid correspondence saturate at the distance gate, so costs
     are comparable across poses). A result that did not converge returns
     the caller's initial guess with the cost and inlier count at that guess.
+    associations counts the :func:`associate` calls the match made.
     """
 
     relative_pose: PlanarPose
     final_cost: float
     inlier_count: int
     converged: bool
+    associations: int
 
 
 def filter_gravity(samples: list[ImuSample], alpha: float = 0.05) -> list[GravityVector]:
@@ -322,6 +324,7 @@ def match_scans(
     state = np.array([initial_guess.x, initial_guess.y, initial_guess.theta])
     assoc = start = associate(reference, moving, state)
     cost = assoc[0]
+    associations = 1
     damping = INITIAL_DAMPING
     converged = False
     # (h, g) depend only on the state and its association, so they are
@@ -336,6 +339,7 @@ def match_scans(
         candidate = state + step
         candidate[2] = wrap_angle(candidate[2])
         cand_assoc = associate(reference, moving, candidate)
+        associations += 1
         small = float(np.linalg.norm(step)) < UPDATE_TOLERANCE
         if cand_assoc[0] <= cost:
             state, assoc, cost = candidate, cand_assoc, cand_assoc[0]
@@ -356,10 +360,11 @@ def match_scans(
                 break
     inliers = int(np.count_nonzero(assoc[3]))
     if not converged or inliers < MIN_INLIERS:
-        return MatchResult(initial_guess, start[0], int(np.count_nonzero(start[3])), False)
+        return MatchResult(initial_guess, start[0], int(np.count_nonzero(start[3])), False, associations)
     return MatchResult(
         relative_pose=PlanarPose(float(state[0]), float(state[1]), float(state[2])),
         final_cost=cost,
         inlier_count=inliers,
         converged=True,
+        associations=associations,
     )

@@ -605,7 +605,7 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
 # sha256 of each file `map` writes for criterion 10's seed-17 session.
 PINNED_MAP_SHA256 = {
     "colored.ply": "befac4df71514771dd0be6573a92596ec39d51bda54408723522b85f2bc405e7",
-    "diagnostics.txt": "24e31b8c526ae55c81bac028e4b0817195e140e097ee25fd8753d9ec66b12ba4",
+    "diagnostics.txt": "7a9b39dba3a1c6ee7d183631f56c4cbc01ca3d3e30872da13928943ace0b4ecc",
     "map.ply": "563dda1fc4c5fe087098c15410fb1a86d9e5d3372084db5d6a0c5691e768b333",
     "trajectory.csv": "9673876b5635f6d02a2a72c597ada674d96d3c092cfa38db06ef4cf9b2736996",
 }

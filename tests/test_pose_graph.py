@@ -15,6 +15,7 @@ from thermoslam import (
     compose,
     detect_loop_closures,
     inverse,
+    match_scans,
     optimize,
 )
 from thermoslam.pose_graph import objective, relative_pose_residual
@@ -178,7 +179,7 @@ def test_detect_loop_closures_finds_revisit():
     scans = _room_scans(poses)
     # Corner beams have no flat-wall correspondence and saturate, so the
     # cost gate sits above that floor but far below a bad match.
-    edges, rejected = detect_loop_closures(
+    edges, rejected, _ = detect_loop_closures(
         scans, poses, min_index_gap=10, max_distance=2.0, max_cost=0.02
     )
     assert rejected == 0
@@ -194,12 +195,13 @@ def test_detect_loop_closures_gates():
     poses = [PlanarPose(0.04 * k, 0.0, 0.0) for k in range(12)]
     scans = _room_scans(poses)
     # Unreachable inlier ratio turns the one candidate into a rejection.
-    edges, rejected = detect_loop_closures(
+    edges, rejected, associations = detect_loop_closures(
         scans, poses, min_index_gap=10, max_distance=2.0, min_inlier_ratio=1.1
     )
     assert edges == [] and rejected == 1
+    assert associations == match_scans(scans[0], scans[11], compose(inverse(poses[0]), poses[11])).associations
     # A distance gate below the node spacing leaves no candidates at all.
-    edges, rejected = detect_loop_closures(scans, poses, min_index_gap=10, max_distance=0.1)
-    assert edges == [] and rejected == 0
+    edges, rejected, associations = detect_loop_closures(scans, poses, min_index_gap=10, max_distance=0.1)
+    assert edges == [] and rejected == 0 and associations == 0
     with pytest.raises(ValueError):
         detect_loop_closures(scans, poses[:-1])
