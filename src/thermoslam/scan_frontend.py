@@ -40,9 +40,12 @@ NORMAL_FLATNESS = 0.02
 # Scan matcher. A beam pairs with the nearest reference line point within
 # DISTANCE_GATE (m) whose normal agrees within NORMAL_ANGLE_GATE; beams
 # without a pair saturate at the gate. A match converges only with at
-# least MIN_INLIERS pairs.
+# least MIN_INLIERS pairs. It stops when a step is shorter than
+# UPDATE_TOLERANCE or when the Gauss-Newton model predicts a cost decrease
+# of at most DECREASE_TOLERANCE times the current cost.
 MAX_ITERATIONS = 50
 UPDATE_TOLERANCE = 1e-6
+DECREASE_TOLERANCE = 1e-6
 DISTANCE_GATE = 0.5
 NORMAL_ANGLE_GATE = math.radians(45.0)
 COS_NORMAL_ANGLE_GATE = math.cos(NORMAL_ANGLE_GATE)
@@ -318,6 +321,17 @@ def match_scans(
     re-associated cost does not increase. Beams without a usable
     correspondence saturate at the distance gate. The cost at the
     returned pose never exceeds the cost at the initial guess.
+
+    The match stops as converged, before associating a candidate step s,
+    when the damped model's predicted decrease of the normalized cost,
+    0.5 * (damping * s.D.s - g.s) / len(moving) with D the diagonal of H
+    floored at 1e-12, is at most DECREASE_TOLERANCE times the current
+    cost (Madsen, Nielsen and Tingleff, "Methods for Non-Linear Least
+    Squares Problems", 2004, section 3.2). A step shorter than
+    UPDATE_TOLERANCE also ends the match as converged. A rejected step
+    that pushes the damping past 1e10 ends it unconverged, and after
+    MAX_ITERATIONS steps it has converged when the last step was accepted.
+    A converged match still needs MIN_INLIERS pairs.
     """
     if len(reference) < 2 or len(moving) < 2:
         raise DegenerateScanError("matching needs at least 2 points per scan")
@@ -335,6 +349,10 @@ def match_scans(
         try:
             step = np.linalg.solve(h + damping * scale, -g)
         except np.linalg.LinAlgError:
+            break
+        predicted = 0.5 * (damping * (step @ scale @ step) - g @ step) / len(moving)
+        if predicted <= DECREASE_TOLERANCE * cost:
+            converged = True
             break
         candidate = state + step
         candidate[2] = wrap_angle(candidate[2])

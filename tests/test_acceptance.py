@@ -604,10 +604,10 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
 
 # sha256 of each file `map` writes for criterion 10's seed-17 session.
 PINNED_MAP_SHA256 = {
-    "colored.ply": "befac4df71514771dd0be6573a92596ec39d51bda54408723522b85f2bc405e7",
-    "diagnostics.txt": "7a9b39dba3a1c6ee7d183631f56c4cbc01ca3d3e30872da13928943ace0b4ecc",
-    "map.ply": "563dda1fc4c5fe087098c15410fb1a86d9e5d3372084db5d6a0c5691e768b333",
-    "trajectory.csv": "9673876b5635f6d02a2a72c597ada674d96d3c092cfa38db06ef4cf9b2736996",
+    "colored.ply": "516c3ff4aa85860df40b9870412376396b6a90bb3a955cd9cdc294614cf0f1e0",
+    "diagnostics.txt": "da0cc19a213cad580dbfd97f5405a6ad61265bc8e3efa77621bcc99f6ae5ad04",
+    "map.ply": "ab6aa7e294a62cc417c5fffb7c8160be0b9bad2d207be53c88f69489fe4193f6",
+    "trajectory.csv": "5cc5e881483477027dd2b29502a8c1d5de27207c531ce211dc9e2dde9cd6e4db",
 }
 
 

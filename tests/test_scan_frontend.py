@@ -9,9 +9,14 @@ import pytest
 from thermoslam import (
     PlanarPose,
     Scan2D,
+    SiteModel,
     Vec3,
+    WallSegment,
+    compose,
     inverse,
     match_scans,
+    planar_to_rigid3,
+    uniform_field,
 )
 from thermoslam.cli_io import run_mapping
 from thermoslam.core import GravityVector, ImuSample
@@ -22,14 +27,17 @@ from thermoslam.scan_frontend import (
     NORMAL_RADIUS,
     DegenerateScanError,
     ProjectedScan,
+    associate,
     associate_gravity,
     estimate_normals,
     filter_gravity,
     gravity_project,
     matching_cost,
+    normal_equations,
     project_points_to_plane,
     scan_to_points,
 )
+from thermoslam.sim import raycast_scan
 
 
 def _square_points(n: int, half: float = 3.0, phase: float = 0.0) -> np.ndarray:
@@ -175,9 +183,12 @@ def test_estimate_normals_needs_three_neighbors_in_radius():
 
 
 def test_match_scans_identity_on_identical_scans():
+    # At zero cost the model predicts no decrease, so the match stops
+    # after associating the guess alone.
     scan = ProjectedScan(0, _square_points(240))
     result = match_scans(scan, scan)
     assert result.converged
+    assert result.associations == 1
     assert abs(result.relative_pose.x) < 1e-9
     assert abs(result.relative_pose.y) < 1e-9
     assert abs(result.relative_pose.theta) < 1e-9
@@ -202,6 +213,60 @@ def test_match_scans_recovers_independently_sampled_scans():
     assert result.converged
     assert math.hypot(result.relative_pose.x - truth.x, result.relative_pose.y - truth.y) < 1e-3
     assert abs(result.relative_pose.theta - truth.theta) < math.radians(0.05)
+
+
+def _square_room_pair() -> tuple[ProjectedScan, ProjectedScan]:
+    # Acceptance criterion 2's pair: a 5 m square room seen from two poses
+    # (0.10 m, 0.05 m, 2 deg) apart.
+    half, height = 2.5, 3.0
+    walls = [
+        WallSegment(-half, -half, half, -half, height),
+        WallSegment(half, -half, half, half, height),
+        WallSegment(half, half, -half, half, height),
+        WallSegment(-half, half, -half, -half, height),
+    ]
+    site = SiteModel(walls, uniform_field(20.0), floor_height=height)
+    pose_a = PlanarPose(0.3, -0.2, 0.15)
+    pose_b = compose(pose_a, PlanarPose(0.10, 0.05, math.radians(2.0)))
+    scans = [raycast_scan(site, planar_to_rigid3(p, z=1.0), stamp=k) for k, p in enumerate((pose_a, pose_b))]
+    return tuple(ProjectedScan(k, scan_to_points(scan)[:, :2]) for k, scan in enumerate(scans))
+
+
+def _noisy_square_pair() -> tuple[ProjectedScan, ProjectedScan, PlanarPose]:
+    # Started at the true offset, the first Gauss-Newton step of this noisy
+    # pair raises the re-associated cost and is rejected.
+    truth = PlanarPose(0.06, 0.02, math.radians(1.5))
+    rng = np.random.default_rng(18)
+    ref = ProjectedScan(0, _square_points(240) + rng.normal(0.0, 0.01, (240, 2)))
+    moved = _displaced_copy(_square_points(240, phase=0.001), truth)
+    return ref, ProjectedScan(1, moved + rng.normal(0.0, 0.01, (240, 2))), truth
+
+
+def test_match_scans_builds_normal_equations_once_per_state(monkeypatch):
+    states, costs = [], []
+
+    def recording_equations(reference, state, association):
+        states.append(tuple(state))
+        return normal_equations(reference, state, association)
+
+    def recording_associate(reference, moving, state):
+        association = associate(reference, moving, state)
+        costs.append(association[0])
+        return association
+
+    monkeypatch.setattr("thermoslam.scan_frontend.normal_equations", recording_equations)
+    monkeypatch.setattr("thermoslam.scan_frontend.associate", recording_associate)
+    ref, mov = _square_room_pair()
+    noisy_ref, noisy_mov, truth = _noisy_square_pair()
+    for args in ((ref, mov, PlanarPose()), (noisy_ref, noisy_mov, truth)):
+        states.clear()
+        costs.clear()
+        result = match_scans(*args)
+        assert result.converged
+        assert result.associations == len(costs)
+        assert len(states) == len(set(states))
+    # The second pair did exercise the rejected-step path.
+    assert costs[1] > costs[0]
 
 
 def test_match_scans_never_worsens_initial_cost():
@@ -291,6 +356,13 @@ def test_match_scans_rejects_tiny_scans():
 
 # ---------------------------------------------------------------------------
 # Scan-to-keyframe odometry in the mapping pipeline.
+
+
+def test_noisy_session_association_budget(noisy_run):
+    # The matcher stops once its model promises no further decrease; the
+    # damping ladder it climbed before took 4516 associations here.
+    diagnostics = noisy_run.result.diagnostics
+    assert diagnostics["odometry_associations"] + diagnostics["loop_associations"] <= 2000
 
 
 def test_run_mapping_falls_back_on_a_blanked_scan(noiseless_run):
