@@ -18,7 +18,6 @@ from .core import (
     compose,
     inverse,
     planar_to_rigid3,
-    rigid3_to_planar,
     rotation_about_z,
     rotation_aligning,
     wrap_angle,
@@ -35,7 +34,6 @@ from .scan_frontend import (
 from .thermal_map import (
     Calibration,
     CameraIntrinsics,
-    ExtrusionConfig,
     ThermalImage,
     ThermalPointCloud,
     WallCloud,
@@ -47,8 +45,6 @@ from .thermal_map import (
 from .pose_graph import (
     DisconnectedGraphError,
     GraphEdge,
-    GraphNode,
-    OptimizeConfig,
     OptimizeResult,
     PoseGraph,
     detect_loop_closures,
@@ -67,7 +63,6 @@ from .monitor import (
 )
 from .sim import (
     NoiseSpec,
-    SensorRig,
     SessionDataset,
     SimulationError,
     SiteModel,

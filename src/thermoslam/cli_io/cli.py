@@ -163,7 +163,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     moving = formats.read_ply(Path(args.moving)).drop_unset()
     transform, rms = icp_align(reference, moving)
     aligned = transform_cloud(moving, transform)
-    report = temperature_delta(reference, aligned, alignment=transform)
+    report = temperature_delta(reference, aligned)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     yaw = math.atan2(transform.rotation[1, 0], transform.rotation[0, 0])

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import PlanarPose, Timestamp, compose, inverse, planar_to_rigid3, wrap_angle
-from ..pose_graph import (
-    GraphEdge,
-    GraphNode,
-    PoseGraph,
-    detect_loop_closures,
-    optimize,
-)
+from ..pose_graph import GraphEdge, PoseGraph, detect_loop_closures, optimize
 from ..scan_frontend import (
     DegenerateScanError,
     ProjectedScan,
@@ -54,7 +48,6 @@ CELL_SPREAD_NOISE_FACTOR = 6.0
 class MappingResult:
     cloud: ThermalPointCloud
     trajectory: list[tuple[Timestamp, PlanarPose]]
-    graph: PoseGraph
     diagnostics: dict[str, object]
 
 
@@ -169,8 +162,7 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
             rel_to_kf = PlanarPose()
 
     kf_scans = [projected[i] for i in kf_indices]
-    extrusion = dataset.calib.extrusion()
-    clouds: list[WallCloud] = [extrude_walls(s, extrusion) for s in kf_scans]
+    clouds: list[WallCloud] = [extrude_walls(s, dataset.calib) for s in kf_scans]
 
     # Thermal attachment: each frame colors the keyframe cloud nearest in
     # time, using the camera pose interpolated from the dense scan track.
@@ -205,17 +197,15 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
 
     loop_edges, loop_rejected, loop_associations = detect_loop_closures(kf_scans, kf_poses)
 
-    nodes = [GraphNode(n, pose) for n, pose in enumerate(kf_poses)]
     edges: list[GraphEdge] = [
         GraphEdge(n, n + 1, rel, kind="odometry") for n, rel in enumerate(kf_relatives)
     ]
     edges.extend(loop_edges)
-    graph = PoseGraph(nodes, edges)
-    solved = optimize(graph)
+    solved = optimize(PoseGraph(kf_poses, edges))
 
-    final_poses = [node.pose for node in solved.graph.nodes]
+    final_poses = solved.graph.nodes
     session_stamp = dataset.scans[0].stamp
-    cloud = accumulate_map(clouds, final_poses, extrusion, session_stamp=session_stamp)
+    cloud = accumulate_map(clouds, final_poses, dataset.calib, session_stamp=session_stamp)
     trajectory = [(int(node_stamps[n]), final_poses[n]) for n in range(len(final_poses))]
 
     diagnostics: dict[str, object] = {
@@ -241,4 +231,4 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     }
     if dataset.ground_truth:
         diagnostics["ate_m"] = trajectory_ate(trajectory, dataset.ground_truth, align=True)
-    return MappingResult(cloud=cloud, trajectory=trajectory, graph=solved.graph, diagnostics=diagnostics)
+    return MappingResult(cloud=cloud, trajectory=trajectory, diagnostics=diagnostics)

@@ -186,14 +186,6 @@ def planar_to_rigid3(pose: PlanarPose, z: float = 0.0) -> RigidTransform3:
     return RigidTransform3(rotation_about_z(pose.theta), np.array([pose.x, pose.y, float(z)]))
 
 
-def rigid3_to_planar(transform: RigidTransform3) -> tuple[PlanarPose, float]:
-    """Project a z-rotation rigid transform back to (PlanarPose, z offset)."""
-    r = transform.rotation
-    theta = math.atan2(r[1, 0], r[0, 0])
-    t = transform.translation
-    return PlanarPose(float(t[0]), float(t[1]), theta), float(t[2])
-
-
 def rotation_aligning(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Smallest rotation taking unit vector a onto unit vector b (Rodrigues).
 

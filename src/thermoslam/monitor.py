@@ -48,7 +48,6 @@ class DeltaReport:
     deltas: np.ndarray
     matched_pairs: int
     mean_dt: float
-    alignment: RigidTransform3
     rms_nn_distance: float
     no_overlap: bool
 
@@ -188,19 +187,15 @@ def temperature_delta(
     reference: ThermalPointCloud,
     aligned_moving: ThermalPointCloud,
     match_radius: float = 0.05,
-    alignment: RigidTransform3 | None = None,
 ) -> DeltaReport:
     """Per-point temperature change from reference to an aligned session.
 
     For every reference point whose nearest neighbor in aligned_moving
     lies within match_radius, reports dT = T_moving - T_reference. The
-    clouds must already be in a common frame; pass the transform used so
-    the report can carry it.
+    clouds must already be in a common frame.
     """
     _require_monitor_cloud(reference, "reference")
     _require_monitor_cloud(aligned_moving, "moving")
-    if alignment is None:
-        alignment = RigidTransform3.identity()
     tree = cKDTree(aligned_moving.positions)
     dist, idx = tree.query(reference.positions)
     keep = dist <= match_radius
@@ -210,7 +205,6 @@ def temperature_delta(
             deltas=np.empty(0),
             matched_pairs=0,
             mean_dt=math.nan,
-            alignment=alignment,
             rms_nn_distance=math.nan,
             no_overlap=True,
         )
@@ -220,7 +214,6 @@ def temperature_delta(
         deltas=deltas,
         matched_pairs=int(np.count_nonzero(keep)),
         mean_dt=float(np.mean(deltas)),
-        alignment=alignment,
         rms_nn_distance=float(np.sqrt(np.mean(dist[keep] ** 2))),
         no_overlap=False,
     )

@@ -1,10 +1,12 @@
 """Relative-pose graph over odometry and loop-closure edges.
 
-Nodes carry planar poses. Each edge constrains the relative pose of its
-two nodes, measured by scan matching between consecutive keyframes
-(odometry) or revisits (loop closures).
-:func:`optimize` minimizes the Huber-robust sum of the weighted
-relative-pose residuals with Levenberg-Marquardt, holding node 0 fixed.
+Nodes are planar poses, named by their position in :attr:`PoseGraph.nodes`:
+node k is ``nodes[k]``, and an edge's ``from_id``/``to_id`` index that list.
+Each edge constrains the relative pose of its two nodes, measured by scan
+matching between consecutive keyframes (odometry) or revisits (loop
+closures). :func:`optimize` minimizes the Huber-robust sum of the weighted
+relative-pose residuals with Levenberg-Marquardt, holding node 0 fixed as
+the gauge anchor.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ TRANSLATION_WEIGHT = 5.0
 ROTATION_WEIGHT = 400.0
 EDGE_LOSS = HuberLoss(0.1)
 
+# Levenberg-Marquardt: at most MAX_ITERATIONS steps, stopping once an
+# accepted step lowers the objective by at most RELATIVE_TOLERANCE of its
+# value; the damping starts at INITIAL_DAMPING.
+MAX_ITERATIONS = 100
+RELATIVE_TOLERANCE = 1e-8
+INITIAL_DAMPING = 1e-4
+
 # Loop-closure candidates: every LOOP_STRIDE-th node is paired with every
 # LOOP_STRIDE-th later node; at most LOOP_MAX_CANDIDATES pairs are matched
 # and a node takes part in at most LOOP_MAX_PER_NODE accepted closures.
@@ -37,12 +46,6 @@ LOOP_MAX_PER_NODE = 2
 
 class DisconnectedGraphError(ValueError):
     """The pose graph does not connect all nodes."""
-
-
-@dataclass(eq=False)
-class GraphNode:
-    node_id: int
-    pose: PlanarPose
 
 
 @dataclass(eq=False)
@@ -66,27 +69,28 @@ class GraphEdge:
 
 @dataclass(eq=False)
 class PoseGraph:
-    nodes: list[GraphNode]
+    """Node k is nodes[k]; every edge endpoint is a position in nodes."""
+
+    nodes: list[PlanarPose]
     edges: list[GraphEdge]
 
     def __post_init__(self) -> None:
-        ids = [n.node_id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
-        known = set(ids)
-        for e in self.edges:
-            if e.from_id not in known or e.to_id not in known:
-                raise ValueError(f"edge references unknown node ({e.from_id}, {e.to_id})")
+        _check_endpoints(self)
 
-    def node(self, node_id: int) -> GraphNode:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
+
+def _check_endpoints(graph: PoseGraph) -> None:
+    # A position of -1 would otherwise silently name the last node.
+    n = len(graph.nodes)
+    for e in graph.edges:
+        if not (0 <= e.from_id < n and 0 <= e.to_id < n):
+            raise ValueError(f"edge references unknown node ({e.from_id}, {e.to_id})")
 
 
 def _check_connected(graph: PoseGraph) -> None:
-    parent = {n.node_id: n.node_id for n in graph.nodes}
+    # edges is a plain list, so an edge appended after construction is
+    # checked here, before any endpoint indexes the state array.
+    _check_endpoints(graph)
+    parent = list(range(len(graph.nodes)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -96,7 +100,7 @@ def _check_connected(graph: PoseGraph) -> None:
 
     for e in graph.edges:
         parent[find(e.from_id)] = find(e.to_id)
-    roots = {find(n.node_id) for n in graph.nodes}
+    roots = {find(k) for k in range(len(graph.nodes))}
     if len(roots) > 1:
         raise DisconnectedGraphError(f"pose graph splits into {len(roots)} components")
 
@@ -192,13 +196,6 @@ def relative_pose_residual(
     return r, ji, jj
 
 
-@dataclass(frozen=True)
-class OptimizeConfig:
-    max_iterations: int = 100
-    relative_tolerance: float = 1e-8
-    initial_damping: float = 1e-4
-
-
 @dataclass(eq=False)
 class OptimizeResult:
     graph: PoseGraph
@@ -208,20 +205,11 @@ class OptimizeResult:
     final_objective: float
 
 
-def _graph_index(graph: PoseGraph) -> dict[int, int]:
-    return {n.node_id: k for k, n in enumerate(graph.nodes)}
-
-
 def _pose_array(graph: PoseGraph) -> np.ndarray:
-    return np.array([[n.pose.x, n.pose.y, n.pose.theta] for n in graph.nodes])
+    return np.array([[p.x, p.y, p.theta] for p in graph.nodes])
 
 
-def _pass(
-    states: np.ndarray,
-    graph: PoseGraph,
-    index: dict[int, int],
-    with_derivatives: bool,
-):
+def _pass(states: np.ndarray, graph: PoseGraph, with_derivatives: bool):
     """One sweep over all relative-pose residual blocks.
 
     Returns (objective, H, g); H and g are None unless requested. Robust
@@ -236,7 +224,7 @@ def _pass(
         return PlanarPose(states[k, 0], states[k, 1], states[k, 2])
 
     for edge in graph.edges:
-        ki, kj = index[edge.from_id], index[edge.to_id]
+        ki, kj = edge.from_id, edge.to_id
         pose_i, pose_j = pose_of(ki), pose_of(kj)
         r, jac_i, jac_j = relative_pose_residual(pose_i, pose_j, edge.measured)
         norm = float(np.linalg.norm(r))
@@ -256,40 +244,37 @@ def _pass(
 
 def objective(graph: PoseGraph) -> float:
     """Robust objective at the graph's current poses."""
-    value, _, _ = _pass(_pose_array(graph), graph, _graph_index(graph), False)
+    value, _, _ = _pass(_pose_array(graph), graph, False)
     return value
 
 
-def optimize(graph: PoseGraph, config: OptimizeConfig | None = None) -> OptimizeResult:
+def optimize(graph: PoseGraph) -> OptimizeResult:
     """Damped least-squares refinement of all poses except the anchor.
 
-    The node with id 0 is the gauge anchor and comes back bitwise
-    unchanged. Steps are only accepted when the objective does not
-    increase, so the objective is non-increasing over accepted iterations;
-    termination is by relative objective change or the iteration cap, and
-    a non-converged run still returns its best iterate, flagged.
+    Node 0 is the gauge anchor and comes back as the same object; an
+    empty graph raises ValueError. Steps are only accepted when the
+    objective does not increase, so the objective is non-increasing over
+    accepted iterations; termination is by relative objective change
+    (RELATIVE_TOLERANCE) or the iteration cap (MAX_ITERATIONS), and a
+    non-converged run still returns its best iterate, flagged.
     """
-    cfg = config if config is not None else OptimizeConfig()
-    index = _graph_index(graph)
-    if 0 not in index:
-        raise ValueError("pose graph needs a node with id 0 as gauge anchor")
+    if not graph.nodes:
+        raise ValueError("pose graph needs node 0 as gauge anchor")
     _check_connected(graph)
-    anchor = index[0]
-    free = np.ones(3 * len(graph.nodes), dtype=bool)
-    free[3 * anchor : 3 * anchor + 3] = False
-    if not np.any(free):
+    if len(graph.nodes) == 1:
         value = objective(graph)
         return OptimizeResult(graph, True, 0, value, value)
 
+    # The anchor's three parameters stay fixed: the system is over the rest.
     states = _pose_array(graph)
-    value, h, g = _pass(states, graph, index, True)
+    value, h, g = _pass(states, graph, True)
     initial = value
-    damping = cfg.initial_damping
+    damping = INITIAL_DAMPING
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        hf = h[np.ix_(free, free)]
-        gf = g[free]
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        hf = h[3:, 3:]
+        gf = g[3:]
         scale = np.diag(np.maximum(np.diag(hf), 1e-12))
         try:
             step = np.linalg.solve(hf + damping * scale, -gf)
@@ -299,15 +284,14 @@ def optimize(graph: PoseGraph, config: OptimizeConfig | None = None) -> Optimize
                 break
             continue
         cand = states.copy()
-        cand_flat = cand.reshape(-1)
-        cand_flat[free] += step
+        cand.reshape(-1)[3:] += step
         cand[:, 2] = np.array([wrap_angle(t) for t in cand[:, 2]])
-        cand_value, cand_h, cand_g = _pass(cand, graph, index, True)
+        cand_value, cand_h, cand_g = _pass(cand, graph, True)
         if cand_value <= value:
             drop = value - cand_value
             states, value, h, g = cand, cand_value, cand_h, cand_g
             damping = max(damping * 0.1, 1e-15)
-            if drop <= cfg.relative_tolerance * max(value, 1e-300):
+            if drop <= RELATIVE_TOLERANCE * max(value, 1e-300):
                 converged = True
                 break
         else:
@@ -315,12 +299,5 @@ def optimize(graph: PoseGraph, config: OptimizeConfig | None = None) -> Optimize
             if damping > 1e12:
                 break
 
-    new_nodes = []
-    for k, node in enumerate(graph.nodes):
-        if k == anchor:
-            new_nodes.append(GraphNode(node.node_id, node.pose))
-        else:
-            new_nodes.append(GraphNode(node.node_id, PlanarPose(states[k, 0], states[k, 1], states[k, 2])))
-    out = PoseGraph(new_nodes, graph.edges)
-    return OptimizeResult(out, converged, iterations, initial, value)
-
+    nodes = [graph.nodes[0]] + [PlanarPose(x, y, theta) for x, y, theta in states[1:]]
+    return OptimizeResult(PoseGraph(nodes, graph.edges), converged, iterations, initial, value)

@@ -5,12 +5,19 @@ for a site made of vertical wall segments with an analytic temperature
 field, along with ground truth for every derived quantity. Scan raycasting
 and thermal rendering share one ray-segment intersection routine so the two
 sensors see exactly the same geometry.
+
+The simulated rig is fixed by the module constants below: the scanner's
+beam count, field of view and range, its height above the floor, the
+extrusion step and the thermal camera's intrinsics. Each session records
+them in its :class:`~thermoslam.thermal_map.Calibration`, together with the
+site's floor height, a camera extrinsic built for that session alone, and
+Calibration's default thermal encoding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +36,14 @@ from .core import (
 from .thermal_map import Calibration, CameraIntrinsics, ThermalImage
 
 GRAVITY = 9.80665
+
+# The simulated rig.
+BEAM_COUNT = 240
+FOV = 2.0 * math.pi
+RANGE_MAX = 15.0  # m
+SENSOR_HEIGHT = 0.6  # m, scanner above the floor
+VERTICAL_STEP = 0.1  # m, spacing of the extruded levels
+INTRINSICS = CameraIntrinsics(fx=140.0, fy=140.0, cx=79.5, cy=59.5, width=160, height=120)
 
 # Temperature field: callable (x, y, z, wall_id) -> degC, vectorized over
 # equal-length arrays. wall_id is -1 for off-wall queries (ambient haze).
@@ -140,9 +155,9 @@ def intersect_rays(site: SiteModel, origins: np.ndarray, directions: np.ndarray)
 def raycast_scan(
     site: SiteModel,
     sensor_pose: RigidTransform3,
-    beam_count: int = 240,
-    fov: float = 2.0 * math.pi,
-    range_max: float = 15.0,
+    beam_count: int = BEAM_COUNT,
+    fov: float = FOV,
+    range_max: float = RANGE_MAX,
     stamp: Timestamp = 0,
     noise: "NoiseSpec | None" = None,
     rng: np.random.Generator | None = None,
@@ -440,7 +455,7 @@ class Timeline:
 
 
 # ---------------------------------------------------------------------------
-# Noise and the sensor rig.
+# Noise and sessions.
 
 
 @dataclass(frozen=True)
@@ -464,32 +479,15 @@ class NoiseSpec:
             raise ValueError("haze_attenuation must be in [0, 1]")
 
 
-def default_camera_extrinsic(dz: float = 0.15) -> RigidTransform3:
-    """Sensor-to-camera transform for a camera mounted dz above the scanner.
+def default_camera_extrinsic() -> RigidTransform3:
+    """Sensor-to-camera transform for a camera mounted 0.15 m above the scanner.
 
     The camera looks along sensor +x with x right and y down; its center
     shares the scanner's xy position so every scanned wall footprint stays
     visible to the camera.
     """
     rot = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    return RigidTransform3(rot, rot @ np.array([0.0, 0.0, -dz]))
-
-
-@dataclass(eq=False)
-class SensorRig:
-    """Scanner/IMU/camera mounting and resolution parameters."""
-
-    beam_count: int = 240
-    fov: float = 2.0 * math.pi
-    range_max: float = 15.0
-    sensor_height: float = 0.6
-    vertical_step: float = 0.1
-    intrinsics: CameraIntrinsics = field(
-        default_factory=lambda: CameraIntrinsics(fx=140.0, fy=140.0, cx=79.5, cy=59.5, width=160, height=120)
-    )
-    camera_extrinsic: RigidTransform3 = field(default_factory=default_camera_extrinsic)
-    thermal_scale: float = 0.01
-    thermal_offset: float = -100.0
+    return RigidTransform3(rot, rot @ np.array([0.0, 0.0, -0.15]))
 
 
 @dataclass(eq=False)
@@ -555,14 +553,19 @@ def simulate_session(
     traj: TrajectorySpec,
     noise: NoiseSpec,
     seed: int,
-    rig: SensorRig | None = None,
 ) -> SessionDataset:
     """Run a full capture session; byte-identical for identical seeds."""
-    rig = rig if rig is not None else SensorRig()
     _validate_path(site, traj)
     timeline = Timeline(traj)
     if timeline.duration <= 0.0:
         raise SimulationError("trajectory has zero duration (set hold_s for a stationary session)")
+    calib = Calibration(
+        intrinsics=INTRINSICS,
+        camera_extrinsic=default_camera_extrinsic(),
+        sensor_height=SENSOR_HEIGHT,
+        floor_height=site.floor_height,
+        vertical_step=VERTICAL_STEP,
+    )
 
     scan_rng, imu_rng, thermal_rng, tilt_rng = [
         np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(4)
@@ -581,16 +584,14 @@ def simulate_session(
         planar = timeline.pose_at(t)
         roll, pitch = tilt_at(t)
         rot = _attitude(planar.theta, roll, pitch)
-        return planar, RigidTransform3(rot, np.array([planar.x, planar.y, rig.sensor_height]))
+        return planar, RigidTransform3(rot, np.array([planar.x, planar.y, SENSOR_HEIGHT]))
 
     scans: list[Scan2D] = []
     ground_truth: list[tuple[Timestamp, PlanarPose]] = []
     for t in _sample_times(timeline.duration, traj.scan_rate):
         stamp = int(round(t * 1e9))
         planar, pose3 = sensor_pose_at(t)
-        scans.append(
-            raycast_scan(site, pose3, rig.beam_count, rig.fov, rig.range_max, stamp=stamp, noise=noise, rng=scan_rng)
-        )
+        scans.append(raycast_scan(site, pose3, stamp=stamp, noise=noise, rng=scan_rng))
         ground_truth.append((stamp, planar))
 
     gravity_world = np.array([0.0, 0.0, -GRAVITY])
@@ -608,18 +609,9 @@ def simulate_session(
     for t in _sample_times(timeline.duration, traj.thermal_rate):
         stamp = int(round(t * 1e9))
         _, pose3 = sensor_pose_at(t)
-        world_to_camera = rig.camera_extrinsic.compose(pose3.inverse())
-        frames.append(render_thermal(site, world_to_camera, rig.intrinsics, noise=noise, rng=thermal_rng, stamp=stamp))
+        world_to_camera = calib.camera_extrinsic.compose(pose3.inverse())
+        frames.append(render_thermal(site, world_to_camera, INTRINSICS, noise=noise, rng=thermal_rng, stamp=stamp))
 
-    calib = Calibration(
-        intrinsics=rig.intrinsics,
-        camera_extrinsic=rig.camera_extrinsic,
-        sensor_height=rig.sensor_height,
-        floor_height=site.floor_height,
-        vertical_step=rig.vertical_step,
-        thermal_scale=rig.thermal_scale,
-        thermal_offset=rig.thermal_offset,
-    )
     return SessionDataset(scans, imu, frames, calib, ground_truth, site)
 
 

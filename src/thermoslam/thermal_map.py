@@ -9,7 +9,7 @@ keeps the reading from the closest camera that saw it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,30 +66,6 @@ class ThermalImage:
         return self.temperatures.shape[1]
 
 
-@dataclass(frozen=True)
-class ExtrusionConfig:
-    """Vertical replication parameters.
-
-    sensor_height is the scanner's height above the floor; floor_height is
-    the wall (slab-to-slab) height; vertical_step the replication spacing.
-    """
-
-    sensor_height: float
-    floor_height: float
-    vertical_step: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sensor_height < self.floor_height:
-            raise ValueError("need 0 < sensor_height < floor_height")
-        if not 0.0 < self.vertical_step <= self.floor_height:
-            raise ValueError("need 0 < vertical_step <= floor_height")
-
-    def heights(self) -> np.ndarray:
-        """Replication heights relative to the sensor plane (z = 0)."""
-        levels = int(math.floor(self.floor_height / self.vertical_step + 1e-9)) + 1
-        return -self.sensor_height + self.vertical_step * np.arange(levels)
-
-
 @dataclass(eq=False)
 class WallCloud:
     """Extruded wall points in the sensor frame of one scan.
@@ -114,9 +90,6 @@ class WallCloud:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def temperature_set(self) -> np.ndarray:
-        return np.isfinite(self.temperatures)
 
     def copy(self) -> "WallCloud":
         return WallCloud(self.positions.copy(), self.temperatures.copy(), self.source_distance.copy())
@@ -153,22 +126,39 @@ class ThermalPointCloud:
 
 @dataclass(eq=False)
 class Calibration:
-    """Rig calibration shared by the simulator, loaders, and the pipeline."""
+    """The capture rig: thermal camera, its mounting, and the wall geometry.
+
+    One record serves the simulator, calib.txt and the pipeline.
+    camera_extrinsic maps the scanner (sensor) frame into the camera frame.
+    sensor_height is the scanner's height above the floor, floor_height the
+    wall (slab-to-slab) height and vertical_step the spacing of the
+    extruded levels; construction requires 0 < sensor_height <
+    floor_height and 0 < vertical_step <= floor_height. A raw thermal pixel
+    p reads thermal_scale * p + thermal_offset degrees C.
+    """
 
     intrinsics: CameraIntrinsics
-    camera_extrinsic: RigidTransform3  # sensor frame -> camera frame
+    camera_extrinsic: RigidTransform3
     sensor_height: float
     floor_height: float
     vertical_step: float
     thermal_scale: float = 0.01
     thermal_offset: float = -100.0
 
-    def extrusion(self) -> ExtrusionConfig:
-        return ExtrusionConfig(self.sensor_height, self.floor_height, self.vertical_step)
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sensor_height < self.floor_height:
+            raise ValueError("need 0 < sensor_height < floor_height")
+        if not 0.0 < self.vertical_step <= self.floor_height:
+            raise ValueError("need 0 < vertical_step <= floor_height")
+
+    def heights(self) -> np.ndarray:
+        """Extrusion heights relative to the sensor plane (z = 0)."""
+        levels = int(math.floor(self.floor_height / self.vertical_step + 1e-9)) + 1
+        return -self.sensor_height + self.vertical_step * np.arange(levels)
 
 
-def extrude_walls(scan: ProjectedScan, config: ExtrusionConfig) -> WallCloud:
-    """Replicate each projected wall point across the configured heights.
+def extrude_walls(scan: ProjectedScan, calib: Calibration) -> WallCloud:
+    """Replicate each projected wall point across the calibration's heights.
 
     Heights run from floor level (-sensor_height below the sensor plane)
     up to floor_height - sensor_height, giving
@@ -176,7 +166,7 @@ def extrude_walls(scan: ProjectedScan, config: ExtrusionConfig) -> WallCloud:
     of every source point is preserved exactly.
     """
     pts = scan.points_xy
-    zs = config.heights()
+    zs = calib.heights()
     n, levels = pts.shape[0], zs.size
     positions = np.empty((n * levels, 3))
     positions[:, 0] = np.repeat(pts[:, 0], levels)
@@ -288,7 +278,7 @@ def voxel_thin(positions: np.ndarray, temperatures: np.ndarray, voxel_size: floa
 def accumulate_map(
     clouds: list[WallCloud],
     poses: list[PlanarPose],
-    config: ExtrusionConfig,
+    calib: Calibration,
     voxel_size: float | None = 0.05,
     session_stamp: Timestamp = 0,
 ) -> ThermalPointCloud:
@@ -306,7 +296,7 @@ def accumulate_map(
     parts_p = []
     parts_t = []
     for cloud, pose in zip(clouds, poses):
-        lift = planar_to_rigid3(pose, config.sensor_height)
+        lift = planar_to_rigid3(pose, calib.sensor_height)
         parts_p.append(lift.apply(cloud.positions))
         parts_t.append(cloud.temperatures)
     positions = np.vstack(parts_p)

@@ -48,8 +48,21 @@ def test_traced_mapping_records_every_layer_span(monkeypatch):
     dataset = simulate_session(rectangle_site(), traj, NoiseSpec(), seed=3)
     recorder = tracing.Recorder()
     with recorder.installed():
-        pipeline.run_mapping(dataset)
+        result = pipeline.run_mapping(dataset)
     spans = Counter(recorder.names)
     expected = [f"{module}.{name}" for module, name, _ in tracing.PATCHES if module == "cli_io.pipeline"]
     expected += ["pose_graph.match_scans", "scan_frontend.estimate_normals", "thermal_map.voxel_thin"]
     assert [name for name in expected if spans[name] == 0] == []
+
+    # The benchmark's pgo_nodes, pgo_edges and pgo_iterations are these
+    # attributes: one node per keyframe, one odometry edge per keyframe
+    # hop plus the accepted loop closures.
+    assert spans["cli_io.pipeline.optimize"] == 1
+    solve = recorder.attrs[recorder.names.index("cli_io.pipeline.optimize")]
+    diagnostics = result.diagnostics
+    assert diagnostics["loop_edges"] > 0
+    assert solve == {
+        "iterations": diagnostics["pgo_iterations"],
+        "nodes": diagnostics["keyframes"],
+        "edges": diagnostics["keyframes"] - 1 + diagnostics["loop_edges"],
+    }

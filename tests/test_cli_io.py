@@ -380,6 +380,21 @@ def test_calib_diagnostics(tmp_path):
         read_calib(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("sensor_height", "3.5"), ("sensor_height", "-1.0"), ("vertical_step", "0.0"), ("vertical_step", "-0.1")],
+    ids=["sensor_above_floor_height", "sensor_below_floor", "zero_step", "negative_step"],
+)
+def test_read_calib_rejects_impossible_extrusion(tmp_path, key, value):
+    # floor_height is 3.0; the file is rejected when read, not after odometry.
+    path = tmp_path / "calib.txt"
+    write_calib(path, _small_calib())
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=rf"calib\.txt: need 0 < {key}"):
+        read_calib(path)
+
+
 # ---------------------------------------------------------------------------
 # Whole sessions.
 

@@ -13,8 +13,6 @@ from thermoslam import (
     Vec3,
     compose,
     inverse,
-    planar_to_rigid3,
-    rigid3_to_planar,
     rotation_about_z,
     rotation_aligning,
     wrap_angle,
@@ -88,16 +86,6 @@ def test_rigid_transform_rejects_bad_rotation():
     with pytest.raises(ValueError):
         # Determinant -1: a reflection is not a rotation.
         RigidTransform3(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
-
-
-def test_planar_rigid3_roundtrip():
-    pose = PlanarPose(0.7, -1.3, 2.1)
-    lifted = planar_to_rigid3(pose, z=0.6)
-    back, z = rigid3_to_planar(lifted)
-    assert back.x == pytest.approx(pose.x)
-    assert back.y == pytest.approx(pose.y)
-    assert back.theta == pytest.approx(pose.theta)
-    assert z == pytest.approx(0.6)
 
 
 def test_rotation_aligning_properties():

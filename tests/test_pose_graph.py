@@ -8,7 +8,6 @@ import pytest
 from thermoslam import (
     DisconnectedGraphError,
     GraphEdge,
-    GraphNode,
     PlanarPose,
     PoseGraph,
     ProjectedScan,
@@ -33,15 +32,25 @@ def test_graph_edge_validation():
 
 
 def test_pose_graph_validation_and_lookup():
-    nodes = [GraphNode(0, PlanarPose()), GraphNode(1, PlanarPose())]
+    nodes = [PlanarPose(), PlanarPose(1.0, 0.0, 0.0)]
     graph = PoseGraph(nodes, [GraphEdge(0, 1, PlanarPose())])
-    assert graph.node(1) is nodes[1]
-    with pytest.raises(KeyError):
-        graph.node(7)
-    with pytest.raises(ValueError):
-        PoseGraph([GraphNode(0, PlanarPose())] * 2, [])
+    assert graph.nodes[1] is nodes[1]
     with pytest.raises(ValueError):
         PoseGraph(nodes, [GraphEdge(0, 9, PlanarPose())])
+
+
+@pytest.mark.parametrize("endpoint", [-1, 2], ids=["negative", "past_end"])
+def test_pose_graph_rejects_endpoint_outside_nodes(endpoint):
+    nodes = [PlanarPose(), PlanarPose(1.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="unknown node"):
+        PoseGraph(nodes, [GraphEdge(0, endpoint, PlanarPose())])
+    with pytest.raises(ValueError, match="unknown node"):
+        PoseGraph(nodes, [GraphEdge(endpoint, 1, PlanarPose())])
+    # The same check runs again when an edge is appended after construction.
+    graph = PoseGraph(nodes, [GraphEdge(0, 1, PlanarPose())])
+    graph.edges.append(GraphEdge(0, endpoint, PlanarPose(), kind="loop_closure"))
+    with pytest.raises(ValueError, match="unknown node"):
+        optimize(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +102,7 @@ def _chain_graph(n: int = 5, perturb: float = 0.0, seed: int = 0):
     init = [PlanarPose()]
     for edge in edges:
         init.append(compose(init[-1], edge.measured))
-    nodes = [GraphNode(k, init[k]) for k in range(n)]
-    return PoseGraph(nodes, edges), truth
+    return PoseGraph(init, edges), truth
 
 
 def test_objective_zero_on_consistent_chain():
@@ -104,10 +112,10 @@ def test_objective_zero_on_consistent_chain():
 
 def test_optimize_consistent_chain_is_fixed_point():
     graph, _ = _chain_graph()
-    before = [(n.pose.x, n.pose.y, n.pose.theta) for n in graph.nodes]
+    before = [(p.x, p.y, p.theta) for p in graph.nodes]
     result = optimize(graph)
     assert result.converged
-    after = [(n.pose.x, n.pose.y, n.pose.theta) for n in result.graph.nodes]
+    after = [(p.x, p.y, p.theta) for p in result.graph.nodes]
     assert np.allclose(np.asarray(after), np.asarray(before), atol=1e-10)
 
 
@@ -115,9 +123,9 @@ def test_optimize_keeps_anchor_bitwise():
     graph, truth = _chain_graph(perturb=0.01, seed=3)
     loop = GraphEdge(0, 4, compose(inverse(truth[0]), truth[4]), kind="loop_closure")
     graph.edges.append(loop)
-    anchor_before = graph.nodes[0].pose
+    anchor_before = graph.nodes[0]
     result = optimize(graph)
-    assert result.graph.nodes[0].pose is anchor_before
+    assert result.graph.nodes[0] is anchor_before
     assert result.final_objective <= result.initial_objective
 
 
@@ -127,7 +135,7 @@ def test_optimize_improves_noisy_loop():
 
     def worst_error(g):
         return max(
-            math.hypot(node.pose.x - t.x, node.pose.y - t.y) for node, t in zip(g.nodes, truth)
+            math.hypot(p.x - t.x, p.y - t.y) for p, t in zip(g.nodes, truth)
         )
 
     before = worst_error(graph)
@@ -138,23 +146,19 @@ def test_optimize_improves_noisy_loop():
 
 
 def test_optimize_requires_anchor_and_connectivity():
-    nodes = [GraphNode(1, PlanarPose()), GraphNode(2, PlanarPose())]
-    with pytest.raises(ValueError):
-        optimize(PoseGraph(nodes, [GraphEdge(1, 2, PlanarPose())]))
-    disconnected = PoseGraph(
-        [GraphNode(k, PlanarPose()) for k in range(3)],
-        [GraphEdge(0, 1, PlanarPose())],
-    )
+    with pytest.raises(ValueError, match="gauge anchor"):
+        optimize(PoseGraph([], []))
+    disconnected = PoseGraph([PlanarPose() for _ in range(3)], [GraphEdge(0, 1, PlanarPose())])
     with pytest.raises(DisconnectedGraphError):
         optimize(disconnected)
 
 
 def test_optimize_single_node_graph():
-    graph = PoseGraph([GraphNode(0, PlanarPose(1.0, 2.0, 0.5))], [])
+    graph = PoseGraph([PlanarPose(1.0, 2.0, 0.5)], [])
     result = optimize(graph)
     assert result.converged
     assert result.iterations == 0
-    assert result.graph.nodes[0].pose == PlanarPose(1.0, 2.0, 0.5)
+    assert result.graph.nodes[0] == PlanarPose(1.0, 2.0, 0.5)
 
 
 # ---- loop-closure detection ----

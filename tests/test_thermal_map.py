@@ -9,7 +9,6 @@ import thermoslam.thermal_map as thermal_map
 from thermoslam import (
     Calibration,
     CameraIntrinsics,
-    ExtrusionConfig,
     PlanarPose,
     RigidTransform3,
     ThermalImage,
@@ -36,13 +35,16 @@ def _flat_image(value: float, stamp: int = 0) -> ThermalImage:
     return ThermalImage(stamp, np.full((11, 11), value))
 
 
+def _calib(sensor_height: float = 0.6, floor_height: float = 3.0, vertical_step: float = 0.1) -> Calibration:
+    return Calibration(INTRINSICS, RigidTransform3.identity(), sensor_height, floor_height, vertical_step)
+
+
 # ---------------------------------------------------------------------------
 # Extrusion.
 
 
 def test_extrusion_heights_span_floor_to_ceiling():
-    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=0.1)
-    zs = cfg.heights()
+    zs = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.1).heights()
     assert zs.size == 31
     assert zs[0] == pytest.approx(-0.6)
     assert zs[-1] == pytest.approx(2.4)
@@ -50,22 +52,25 @@ def test_extrusion_heights_span_floor_to_ceiling():
 
 
 def test_extrusion_config_validation():
-    with pytest.raises(ValueError):
-        ExtrusionConfig(sensor_height=3.0, floor_height=3.0, vertical_step=0.1)
-    with pytest.raises(ValueError):
-        ExtrusionConfig(sensor_height=0.5, floor_height=3.0, vertical_step=0.0)
+    with pytest.raises(ValueError, match="sensor_height"):
+        _calib(sensor_height=3.0, floor_height=3.0)
+    with pytest.raises(ValueError, match="vertical_step"):
+        _calib(sensor_height=0.5, floor_height=3.0, vertical_step=0.0)
+    with pytest.raises(ValueError, match="vertical_step"):
+        _calib(floor_height=3.0, vertical_step=3.5)
+    assert _calib(floor_height=3.0, vertical_step=3.0).heights().size == 2
 
 
 def test_extrude_walls_replicates_xy_exactly():
     scan = ProjectedScan(7, [[1.25, -0.5], [2.0, 3.0], [0.1, 0.2]])
-    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=0.5)
-    cloud = extrude_walls(scan, cfg)
-    levels = cfg.heights().size
+    calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.5)
+    cloud = extrude_walls(scan, calib)
+    levels = calib.heights().size
     assert len(cloud) == 3 * levels
     # Column k holds the k-th source point at every height, xy untouched.
     assert np.array_equal(cloud.positions[:levels, 0], np.full(levels, 1.25))
     assert np.array_equal(cloud.positions[:levels, 1], np.full(levels, -0.5))
-    assert np.array_equal(cloud.positions[:levels, 2], cfg.heights())
+    assert np.array_equal(cloud.positions[:levels, 2], calib.heights())
     assert np.isnan(cloud.temperatures).all()
     assert np.isposinf(cloud.source_distance).all()
 
@@ -167,9 +172,8 @@ def test_camera_intrinsics_validation():
 # Cloud containers.
 
 
-def test_wall_cloud_temperature_set_and_copy():
+def test_wall_cloud_copy():
     cloud = WallCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.nan, 21.5], [np.inf, 2.0])
-    assert np.array_equal(cloud.temperature_set(), [False, True])
     dup = cloud.copy()
     dup.temperatures[1] = 99.0
     assert cloud.temperatures[1] == 21.5
@@ -278,19 +282,19 @@ def test_accumulate_map_calls_voxel_thin_through_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(thermal_map, "voxel_thin", counting)
-    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=1.0)
+    calib = _calib(vertical_step=1.0)
     cloud = WallCloud([[1.0, 0.0, 0.0], [1.01, 0.0, 0.0]], [20.0, 22.0], [1.0, 1.0])
-    out = accumulate_map([cloud], [PlanarPose()], cfg, voxel_size=0.05)
+    out = accumulate_map([cloud], [PlanarPose()], calib, voxel_size=0.05)
     assert calls == [2]
     assert out.positions.shape == (1, 3)
-    accumulate_map([cloud], [PlanarPose()], cfg, voxel_size=None)
+    accumulate_map([cloud], [PlanarPose()], calib, voxel_size=None)
     assert calls == [2]
 
 
 def test_accumulate_map_lifts_by_sensor_height():
-    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=1.0)
+    calib = _calib(vertical_step=1.0)
     cloud = WallCloud([[1.0, 0.0, -0.6], [1.0, 0.0, 0.4]], [20.0, 21.0], [1.0, 1.0])
-    out = accumulate_map([cloud], [PlanarPose()], cfg, voxel_size=None, session_stamp=5)
+    out = accumulate_map([cloud], [PlanarPose()], calib, voxel_size=None, session_stamp=5)
     assert out.session_stamp == 5
     # Identity node: floor-level points land at world z = 0.
     assert np.allclose(out.positions[:, 2], [0.0, 1.0])
@@ -298,33 +302,20 @@ def test_accumulate_map_lifts_by_sensor_height():
 
 
 def test_accumulate_map_applies_node_poses():
-    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=1.0)
+    calib = _calib(vertical_step=1.0)
     cloud = WallCloud([[1.0, 0.0, 0.0]], [20.0], [1.0])
     pose = PlanarPose(2.0, 1.0, math.pi / 2.0)
-    out = accumulate_map([cloud], [pose], cfg, voxel_size=None)
+    out = accumulate_map([cloud], [pose], calib, voxel_size=None)
     assert np.allclose(out.positions[0], [2.0, 2.0, 0.6], atol=1e-12)
 
 
 def test_accumulate_map_validation():
-    cfg = ExtrusionConfig(sensor_height=0.6, floor_height=3.0, vertical_step=1.0)
+    calib = _calib(vertical_step=1.0)
     cloud = WallCloud([[1.0, 0.0, 0.0]], [20.0], [1.0])
     with pytest.raises(ValueError):
-        accumulate_map([cloud], [], cfg)
+        accumulate_map([cloud], [], calib)
     with pytest.raises(ValueError):
-        accumulate_map([], [], cfg)
+        accumulate_map([], [], calib)
     with pytest.raises(ValueError):
-        accumulate_map([cloud], [PlanarPose()], cfg, voxel_size=0.0)
+        accumulate_map([cloud], [PlanarPose()], calib, voxel_size=0.0)
 
-
-def test_calibration_extrusion_passthrough():
-    calib = Calibration(
-        intrinsics=INTRINSICS,
-        camera_extrinsic=RigidTransform3.identity(),
-        sensor_height=0.6,
-        floor_height=3.0,
-        vertical_step=0.1,
-    )
-    cfg = calib.extrusion()
-    assert cfg.sensor_height == 0.6
-    assert cfg.floor_height == 3.0
-    assert cfg.vertical_step == 0.1
