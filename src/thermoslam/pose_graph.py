@@ -112,7 +112,7 @@ def detect_loop_closures(
     max_distance: float = 2.0,
     max_cost: float = 0.01,
     min_inlier_ratio: float = 0.6,
-) -> tuple[list[GraphEdge], int]:
+) -> tuple[list[GraphEdge], int, int]:
     """Find loop-closure edges among non-adjacent nodes.
 
     Candidates are node pairs on the LOOP_STRIDE grid more than

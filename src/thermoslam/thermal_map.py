@@ -1,9 +1,12 @@
-"""Wall extrusion and thermal colorization.
+"""Wall extrusion, thermal colorization and fusion.
 
-Projected 2D wall points are replicated vertically into 2.5D wall clouds,
-then colored by projecting them into radiometric thermal frames through a
-pinhole camera. Temperatures stay attached to points from then on; a point
-keeps the reading from the closest camera that saw it.
+A keyframe's wall cloud is its projected 2D wall points as columns, each
+standing at every extrusion height: columns x levels, kept as (n, L) grids
+of temperatures and source distances rather than as 3D rows. Clouds are
+colored by projecting them into radiometric thermal frames through a
+pinhole camera; a point keeps the reading from the closest camera that saw
+it. Fusion lifts every column into the world once and then voxel-thins the
+map one height bin at a time.
 """
 
 from __future__ import annotations
@@ -66,33 +69,56 @@ class ThermalImage:
         return self.temperatures.shape[1]
 
 
+def _column_rows(points_xy: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """(n*L, 3) rows: column by column, the L levels inside each column."""
+    n, levels = points_xy.shape[0], heights.size
+    rows = np.empty((n * levels, 3))
+    rows[:, 0] = np.repeat(points_xy[:, 0], levels)
+    rows[:, 1] = np.repeat(points_xy[:, 1], levels)
+    rows[:, 2] = np.tile(heights, n)
+    return rows
+
+
 @dataclass(eq=False)
 class WallCloud:
-    """Extruded wall points in the sensor frame of one scan.
+    """Extruded wall of one scan: wall columns x levels, in its sensor frame.
 
-    temperatures are NaN until a thermal frame sees the point;
+    points holds the (n, 2) wall points; each stands as a column at all L
+    heights (z relative to the sensor plane). temperatures and
+    source_distance are (n, L) grids, entry [k, l] being column k at
+    heights[l]. temperatures are NaN until a thermal frame sees the point;
     source_distance records the point-to-camera distance of the frame that
     set the current temperature (inf while unset).
     """
 
-    positions: np.ndarray
+    points: np.ndarray
+    heights: np.ndarray
     temperatures: np.ndarray
     source_distance: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        n = p.shape[0]
-        t = np.asarray(self.temperatures, dtype=float).reshape(n)
-        d = np.asarray(self.source_distance, dtype=float).reshape(n)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("wall cloud positions must be finite")
-        self.positions, self.temperatures, self.source_distance = p, t, d
+        p = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        h = np.asarray(self.heights, dtype=float).reshape(-1)
+        shape = (p.shape[0], h.size)
+        t = np.asarray(self.temperatures, dtype=float).reshape(shape)
+        d = np.asarray(self.source_distance, dtype=float).reshape(shape)
+        if h.size == 0:
+            raise ValueError("wall cloud needs at least one height")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(h))):
+            raise ValueError("wall cloud points and heights must be finite")
+        self.points, self.heights, self.temperatures, self.source_distance = p, h, t, d
 
     def __len__(self) -> int:
-        return self.positions.shape[0]
+        return self.temperatures.size
+
+    def positions(self) -> np.ndarray:
+        """The n*L wall points as (x, y, z) rows, levels inside each column."""
+        return _column_rows(self.points, self.heights)
 
     def copy(self) -> "WallCloud":
-        return WallCloud(self.positions.copy(), self.temperatures.copy(), self.source_distance.copy())
+        return WallCloud(
+            self.points.copy(), self.heights.copy(), self.temperatures.copy(), self.source_distance.copy()
+        )
 
 
 @dataclass(eq=False)
@@ -158,21 +184,16 @@ class Calibration:
 
 
 def extrude_walls(scan: ProjectedScan, calib: Calibration) -> WallCloud:
-    """Replicate each projected wall point across the calibration's heights.
+    """Stand each projected wall point as a column at the calibration's heights.
 
     Heights run from floor level (-sensor_height below the sensor plane)
     up to floor_height - sensor_height, giving
-    floor(floor_height / vertical_step) + 1 levels per point. The (x, y)
-    of every source point is preserved exactly.
+    floor(floor_height / vertical_step) + 1 levels per column. The (x, y)
+    of every source point is kept exactly; every grid entry starts unset.
     """
-    pts = scan.points_xy
     zs = calib.heights()
-    n, levels = pts.shape[0], zs.size
-    positions = np.empty((n * levels, 3))
-    positions[:, 0] = np.repeat(pts[:, 0], levels)
-    positions[:, 1] = np.repeat(pts[:, 1], levels)
-    positions[:, 2] = np.tile(zs, n)
-    return WallCloud(positions, np.full(n * levels, np.nan), np.full(n * levels, np.inf))
+    shape = (scan.points_xy.shape[0], zs.size)
+    return WallCloud(scan.points_xy, zs, np.full(shape, np.nan), np.full(shape, np.inf))
 
 
 def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -218,7 +239,10 @@ def project_to_thermal(
     if image.width != intrinsics.width or image.height != intrinsics.height:
         raise ValueError("image size does not match intrinsics")
     out = cloud.copy()
-    cam = camera_pose.apply(cloud.positions)
+    # Row views of the (n, L) grids, in the order of cloud.positions().
+    temperatures = out.temperatures.reshape(-1)
+    source_distance = out.source_distance.reshape(-1)
+    cam = camera_pose.apply(cloud.positions())
     z = cam[:, 2]
     front = z > 1e-12
     if not np.any(front):
@@ -229,13 +253,13 @@ def project_to_thermal(
     v[front] = intrinsics.fy * cam[front, 1] / z[front] + intrinsics.cy
     visible = front & (u >= 0.0) & (u <= intrinsics.width - 1.0) & (v >= 0.0) & (v <= intrinsics.height - 1.0)
     distance = np.linalg.norm(cam, axis=1)
-    take = visible & (distance < out.source_distance)
+    take = visible & (distance < source_distance)
     if max_cell_spread is not None and np.any(take):
         clean = _cell_spread(image.temperatures, u[take], v[take]) <= max_cell_spread
         take[np.flatnonzero(take)[~clean]] = False
     if np.any(take):
-        out.temperatures[take] = _bilinear(image.temperatures, u[take], v[take])
-        out.source_distance[take] = distance[take]
+        temperatures[take] = _bilinear(image.temperatures, u[take], v[take])
+        source_distance[take] = distance[take]
     return out
 
 
@@ -286,23 +310,44 @@ def accumulate_map(
 
     Each cloud is lifted by its node pose at the scanner height, so a node
     at the identity contributes its local cloud shifted up by
-    sensor_height. Concatenation follows node order; optional voxel
-    thinning averages positions and the set temperatures per voxel.
+    sensor_height. The clouds must share their heights. Points follow node
+    order, then column, then level.
+
+    With voxel_size, positions and set temperatures are averaged per voxel
+    as voxel_thin does over all points at once: voxels in (x, y, z) index
+    order, members summed in point order. It runs voxel_thin on one z bin
+    (the levels whose lifted height floors to one voxel index) at a time.
+    Every column stands at every level, so each bin yields the same xy
+    cells, and the bins' results interleave cell by cell.
     """
     if len(clouds) != len(poses):
         raise ValueError("clouds and poses length mismatch")
     if not clouds:
         raise ValueError("nothing to accumulate")
-    parts_p = []
-    parts_t = []
+    if voxel_size is not None and voxel_size <= 0.0:
+        raise ValueError("voxel_size must be > 0")
+    heights = clouds[0].heights
+    if any(not np.array_equal(cloud.heights, heights) for cloud in clouds):
+        raise ValueError("clouds must share their heights")
+    parts = []
     for cloud, pose in zip(clouds, poses):
         lift = planar_to_rigid3(pose, calib.sensor_height)
-        parts_p.append(lift.apply(cloud.positions))
-        parts_t.append(cloud.temperatures)
-    positions = np.vstack(parts_p)
-    temperatures = np.concatenate(parts_t)
-    if voxel_size is not None:
-        if voxel_size <= 0.0:
-            raise ValueError("voxel_size must be > 0")
-        positions, temperatures = voxel_thin(positions, temperatures, voxel_size)
-    return ThermalPointCloud(positions, temperatures, session_stamp)
+        # A column's xy only meets the rotation's xy block, and its lifted z
+        # is height + sensor_height at every level.
+        parts.append(cloud.points @ lift.rotation[:2, :2].T + lift.translation[:2])
+    xy = np.vstack(parts)
+    zs = heights + calib.sensor_height
+    if voxel_size is None:
+        temperatures = np.concatenate([cloud.temperatures.reshape(-1) for cloud in clouds])
+        return ThermalPointCloud(_column_rows(xy, zs), temperatures, session_stamp)
+    z_bins = np.floor(zs / voxel_size)
+    cells_p = []
+    cells_t = []
+    for z_bin in np.unique(z_bins):
+        levels = np.flatnonzero(z_bins == z_bin)
+        temperatures = np.concatenate([cloud.temperatures[:, levels].reshape(-1) for cloud in clouds])
+        pos, temps = voxel_thin(_column_rows(xy, zs[levels]), temperatures, voxel_size)
+        cells_p.append(pos)
+        cells_t.append(temps)
+    positions = np.stack(cells_p, axis=1).reshape(-1, 3)
+    return ThermalPointCloud(positions, np.stack(cells_t, axis=1).reshape(-1), session_stamp)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,16 +20,27 @@ from thermoslam import (
     project_to_thermal,
     voxel_thin,
 )
+from thermoslam.core import planar_to_rigid3
 from thermoslam.scan_frontend import ProjectedScan
 
 INTRINSICS = CameraIntrinsics(fx=10.0, fy=10.0, cx=5.0, cy=5.0, width=11, height=11)
 
 
-def _grid_cloud(z: float = 2.0, n: int = 9, extent: float = 0.8) -> WallCloud:
-    """Unset wall points on a plane facing a camera at the origin (+z)."""
-    xs, ys = np.meshgrid(np.linspace(-extent, extent, n), np.linspace(-extent, extent, n))
-    pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(n * n, z)])
-    return WallCloud(pts, np.full(n * n, np.nan), np.full(n * n, np.inf))
+# Camera at the origin looking along the sensor's +x: camera x = -y,
+# camera y (image down) = -z, depth = x.
+FACING = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+
+
+def _facing(depth_offset: float = 0.0) -> RigidTransform3:
+    """FACING, with the camera depth_offset behind the origin (< 0: ahead)."""
+    return RigidTransform3(FACING, np.array([0.0, 0.0, depth_offset]))
+
+
+def _grid_cloud(depth: float = 2.0, n: int = 9, extent: float = 0.8) -> WallCloud:
+    """An unset wall at x = depth facing the camera of _facing: n columns x n levels."""
+    ys = np.linspace(-extent, extent, n)
+    pts = np.column_stack([np.full(n, depth), ys])
+    return WallCloud(pts, np.linspace(-extent, extent, n), np.full((n, n), np.nan), np.full((n, n), np.inf))
 
 
 def _flat_image(value: float, stamp: int = 0) -> ThermalImage:
@@ -67,10 +79,16 @@ def test_extrude_walls_replicates_xy_exactly():
     cloud = extrude_walls(scan, calib)
     levels = calib.heights().size
     assert len(cloud) == 3 * levels
+    assert np.array_equal(cloud.points, scan.points_xy)
+    assert np.array_equal(cloud.heights, calib.heights())
     # Column k holds the k-th source point at every height, xy untouched.
-    assert np.array_equal(cloud.positions[:levels, 0], np.full(levels, 1.25))
-    assert np.array_equal(cloud.positions[:levels, 1], np.full(levels, -0.5))
-    assert np.array_equal(cloud.positions[:levels, 2], calib.heights())
+    positions = cloud.positions()
+    assert positions.shape == (3 * levels, 3)
+    assert np.array_equal(positions[:levels, 0], np.full(levels, 1.25))
+    assert np.array_equal(positions[:levels, 1], np.full(levels, -0.5))
+    assert np.array_equal(positions[:levels, 2], calib.heights())
+    assert np.array_equal(positions[levels : 2 * levels, :2], np.tile([2.0, 3.0], (levels, 1)))
+    assert cloud.temperatures.shape == cloud.source_distance.shape == (3, levels)
     assert np.isnan(cloud.temperatures).all()
     assert np.isposinf(cloud.source_distance).all()
 
@@ -81,7 +99,8 @@ def test_extrude_walls_replicates_xy_exactly():
 
 def test_project_to_thermal_colors_visible_points():
     cloud = _grid_cloud()
-    out = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, _flat_image(25.0))
+    out = project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(25.0))
+    assert out.temperatures.shape == (9, 9)
     assert np.allclose(out.temperatures, 25.0)
     assert np.all(np.isfinite(out.source_distance))
     # The input cloud is untouched.
@@ -89,8 +108,8 @@ def test_project_to_thermal_colors_visible_points():
 
 
 def test_project_to_thermal_skips_points_behind_camera():
-    cloud = _grid_cloud(z=-2.0)
-    out = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, _flat_image(25.0))
+    cloud = _grid_cloud(depth=-2.0)
+    out = project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(25.0))
     assert np.isnan(out.temperatures).all()
 
 
@@ -98,22 +117,31 @@ def test_project_to_thermal_samples_expected_pixel():
     img = np.full((11, 11), 20.0)
     img[4, 7] = 33.0
     # x such that u = fx*x/z + cx lands exactly on pixel (u=7, v=4).
-    pt = np.array([[(7.0 - 5.0) * 2.0 / 10.0, (4.0 - 5.0) * 2.0 / 10.0, 2.0]])
-    cloud = WallCloud(pt, [np.nan], [np.inf])
+    # One column at that (x, y), one level at z = 2.
+    pt = np.array([[(7.0 - 5.0) * 2.0 / 10.0, (4.0 - 5.0) * 2.0 / 10.0]])
+    cloud = WallCloud(pt, [2.0], [[np.nan]], [[np.inf]])
     out = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, ThermalImage(0, img))
-    assert out.temperatures[0] == pytest.approx(33.0)
+    assert out.temperatures[0, 0] == pytest.approx(33.0)
+
+
+def test_project_to_thermal_fills_column_level_grid():
+    # Image rows run down the wall, so each level reads its own row.
+    img = np.repeat(20.0 + np.arange(11.0)[:, None], 11, axis=1)
+    cloud = WallCloud([[2.0, 0.0], [2.0, -0.4]], [-0.4, 0.0, 0.4], np.full((2, 3), np.nan), np.full((2, 3), np.inf))
+    out = project_to_thermal(cloud, _facing(), INTRINSICS, ThermalImage(0, img))
+    # Height h lands on image row v = 5 - 5 h.
+    assert np.allclose(out.temperatures, [[27.0, 25.0, 23.0], [27.0, 25.0, 23.0]])
+    assert np.allclose(out.source_distance[0], np.hypot(2.0, [-0.4, 0.0, 0.4]))
 
 
 def test_project_to_thermal_closer_camera_wins():
     # Narrow grid so every point stays in view from both camera depths.
-    cloud = _grid_cloud(z=2.0, extent=0.35)
-    far = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, _flat_image(25.0))
-    closer = RigidTransform3(np.eye(3), np.array([0.0, 0.0, -1.0]))
-    both = project_to_thermal(far, closer, INTRINSICS, _flat_image(30.0))
+    cloud = _grid_cloud(depth=2.0, extent=0.35)
+    far = project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(25.0))
+    both = project_to_thermal(far, _facing(-1.0), INTRINSICS, _flat_image(30.0))
     assert np.allclose(both.temperatures, 30.0)
     # A camera farther than the recorded source cannot overwrite.
-    farther = RigidTransform3(np.eye(3), np.array([0.0, 0.0, 1.0]))
-    after = project_to_thermal(both, farther, INTRINSICS, _flat_image(35.0))
+    after = project_to_thermal(both, _facing(1.0), INTRINSICS, _flat_image(35.0))
     assert np.allclose(after.temperatures, 30.0)
 
 
@@ -121,11 +149,11 @@ def test_project_to_thermal_bilinear():
     img = np.full((11, 11), 20.0)
     img[:, 4:] = 30.0
     # u = 3.5: halfway between a 20-column and a 30-column.
-    pt = np.array([[(3.5 - 5.0) * 2.0 / 10.0, 0.0, 2.0]])
-    cloud = WallCloud(pt, [np.nan], [np.inf])
+    pt = np.array([[(3.5 - 5.0) * 2.0 / 10.0, 0.0]])
+    cloud = WallCloud(pt, [2.0], [[np.nan]], [[np.inf]])
     image = ThermalImage(0, img)
     soft = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image)
-    assert soft.temperatures[0] == pytest.approx(25.0)
+    assert soft.temperatures[0, 0] == pytest.approx(25.0)
 
 
 def test_project_to_thermal_cell_spread_gate():
@@ -134,14 +162,14 @@ def test_project_to_thermal_cell_spread_gate():
     image = ThermalImage(0, img)
     pts = np.array(
         [
-            [(5.5 - 5.0) * 2.0 / 10.0, 0.0, 2.0],  # straddles the 50 degC edge
-            [(2.0 - 5.0) * 2.0 / 10.0, 0.0, 2.0],  # clean interior pixel
+            [(5.5 - 5.0) * 2.0 / 10.0, 0.0],  # straddles the 50 degC edge
+            [(2.0 - 5.0) * 2.0 / 10.0, 0.0],  # clean interior pixel
         ]
     )
-    cloud = WallCloud(pts, np.full(2, np.nan), np.full(2, np.inf))
+    cloud = WallCloud(pts, [2.0], np.full((2, 1), np.nan), np.full((2, 1), np.inf))
     gated = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image, max_cell_spread=10.0)
-    assert np.isnan(gated.temperatures[0])
-    assert gated.temperatures[1] == pytest.approx(20.0)
+    assert np.isnan(gated.temperatures[0, 0])
+    assert gated.temperatures[1, 0] == pytest.approx(20.0)
     ungated = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image)
     assert np.isfinite(ungated.temperatures).all()
 
@@ -149,7 +177,7 @@ def test_project_to_thermal_cell_spread_gate():
 def test_project_to_thermal_rejects_size_mismatch():
     image = ThermalImage(0, np.full((5, 5), 20.0))
     with pytest.raises(ValueError):
-        project_to_thermal(_grid_cloud(), RigidTransform3.identity(), INTRINSICS, image)
+        project_to_thermal(_grid_cloud(), _facing(), INTRINSICS, image)
 
 
 def test_thermal_image_validation():
@@ -173,10 +201,19 @@ def test_camera_intrinsics_validation():
 
 
 def test_wall_cloud_copy():
-    cloud = WallCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.nan, 21.5], [np.inf, 2.0])
+    cloud = WallCloud([[0.0, 0.0], [1.0, 0.0]], [0.0], [[np.nan], [21.5]], [[np.inf], [2.0]])
     dup = cloud.copy()
-    dup.temperatures[1] = 99.0
-    assert cloud.temperatures[1] == 21.5
+    dup.temperatures[1, 0] = 99.0
+    assert cloud.temperatures[1, 0] == 21.5
+
+
+def test_wall_cloud_validation():
+    with pytest.raises(ValueError, match="height"):
+        WallCloud([[1.0, 0.0]], [], np.empty((1, 0)), np.empty((1, 0)))
+    with pytest.raises(ValueError, match="finite"):
+        WallCloud([[np.nan, 0.0]], [0.0], [[20.0]], [[1.0]])
+    with pytest.raises(ValueError):
+        WallCloud([[1.0, 0.0]], [0.0, 1.0], [[20.0]], [[1.0]])
 
 
 def test_thermal_point_cloud_drop_unset():
@@ -283,17 +320,24 @@ def test_accumulate_map_calls_voxel_thin_through_module(monkeypatch):
 
     monkeypatch.setattr(thermal_map, "voxel_thin", counting)
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0, 0.0], [1.01, 0.0, 0.0]], [20.0, 22.0], [1.0, 1.0])
+    levels = calib.heights().size
+    grid = np.full((2, levels), 20.0)
+    cloud = WallCloud([[1.0, 0.0], [1.01, 0.0]], calib.heights(), grid, np.ones_like(grid))
     out = accumulate_map([cloud], [PlanarPose()], calib, voxel_size=0.05)
-    assert calls == [2]
-    assert out.positions.shape == (1, 3)
+    # One call per z bin; each bin holds both columns, which share one voxel.
+    assert calls == [2] * levels
+    assert out.positions.shape == (levels, 3)
     accumulate_map([cloud], [PlanarPose()], calib, voxel_size=None)
-    assert calls == [2]
+    assert calls == [2] * levels
+    # Levels closer than a voxel share a z bin, so one call serves both.
+    close = WallCloud([[1.0, 0.0], [1.01, 0.0]], [0.02, 0.03], grid[:, :2], grid[:, :2])
+    accumulate_map([close], [PlanarPose()], calib, voxel_size=0.05)
+    assert calls == [2] * levels + [4]
 
 
 def test_accumulate_map_lifts_by_sensor_height():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0, -0.6], [1.0, 0.0, 0.4]], [20.0, 21.0], [1.0, 1.0])
+    cloud = WallCloud([[1.0, 0.0]], [-0.6, 0.4], [[20.0, 21.0]], [[1.0, 1.0]])
     out = accumulate_map([cloud], [PlanarPose()], calib, voxel_size=None, session_stamp=5)
     assert out.session_stamp == 5
     # Identity node: floor-level points land at world z = 0.
@@ -303,7 +347,7 @@ def test_accumulate_map_lifts_by_sensor_height():
 
 def test_accumulate_map_applies_node_poses():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0, 0.0]], [20.0], [1.0])
+    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]], [[1.0]])
     pose = PlanarPose(2.0, 1.0, math.pi / 2.0)
     out = accumulate_map([cloud], [pose], calib, voxel_size=None)
     assert np.allclose(out.positions[0], [2.0, 2.0, 0.6], atol=1e-12)
@@ -311,11 +355,162 @@ def test_accumulate_map_applies_node_poses():
 
 def test_accumulate_map_validation():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0, 0.0]], [20.0], [1.0])
+    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]], [[1.0]])
     with pytest.raises(ValueError):
         accumulate_map([cloud], [], calib)
     with pytest.raises(ValueError):
         accumulate_map([], [], calib)
     with pytest.raises(ValueError):
         accumulate_map([cloud], [PlanarPose()], calib, voxel_size=0.0)
+    other = WallCloud([[1.0, 0.0]], [0.5], [[20.0]], [[1.0]])
+    with pytest.raises(ValueError, match="heights"):
+        accumulate_map([cloud, other], [PlanarPose(), PlanarPose()], calib)
 
+
+
+# ---------------------------------------------------------------------------
+# Column clouds against the point-by-point rows they replaced.
+
+
+def _extrude_rows(points_xy, calib):
+    """Reference: one (x, y, z) row per wall point, levels inside each column."""
+    zs = calib.heights()
+    n, levels = points_xy.shape[0], zs.size
+    positions = np.empty((n * levels, 3))
+    positions[:, 0] = np.repeat(points_xy[:, 0], levels)
+    positions[:, 1] = np.repeat(points_xy[:, 1], levels)
+    positions[:, 2] = np.tile(zs, n)
+    return positions
+
+
+def _accumulate_rows(rows, temperatures, poses, calib, voxel_size):
+    """Reference: lift every row, stack all clouds, thin them in one call."""
+    lifted = [planar_to_rigid3(pose, calib.sensor_height).apply(p) for p, pose in zip(rows, poses)]
+    positions = np.vstack(lifted)
+    temps = np.concatenate(temperatures)
+    if voxel_size is not None:
+        positions, temps = voxel_thin(positions, temps, voxel_size)
+    return positions, temps
+
+
+def _project_rows(positions, temperatures, source_distance, camera_pose, image, max_cell_spread):
+    """Reference: project_to_thermal on (x, y, z) rows, in place."""
+    cam = camera_pose.apply(positions)
+    z = cam[:, 2]
+    front = z > 1e-12
+    u = np.full(len(positions), -1.0)
+    v = np.full(len(positions), -1.0)
+    u[front] = INTRINSICS.fx * cam[front, 0] / z[front] + INTRINSICS.cx
+    v[front] = INTRINSICS.fy * cam[front, 1] / z[front] + INTRINSICS.cy
+    visible = front & (u >= 0.0) & (u <= INTRINSICS.width - 1.0) & (v >= 0.0) & (v <= INTRINSICS.height - 1.0)
+    distance = np.linalg.norm(cam, axis=1)
+    take = visible & (distance < source_distance)
+    if max_cell_spread is not None and np.any(take):
+        clean = thermal_map._cell_spread(image.temperatures, u[take], v[take]) <= max_cell_spread
+        take[np.flatnonzero(take)[~clean]] = False
+    temperatures[take] = thermal_map._bilinear(image.temperatures, u[take], v[take])
+    source_distance[take] = distance[take]
+
+
+def _random_pose(rng) -> PlanarPose:
+    return PlanarPose(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(-math.pi, math.pi))
+
+
+def _random_scans(rng, count):
+    """Scans of 0 to 80 points, with some points repeated and some on axes."""
+    scans = []
+    for _ in range(count):
+        pts = rng.uniform(-4.0, 4.0, (int(rng.integers(0, 81)), 2))
+        if len(pts) > 3:
+            pts[1] = pts[0]
+            pts[2, 0] = 0.0
+        scans.append(ProjectedScan(0, pts))
+    return scans
+
+
+@pytest.mark.parametrize(
+    ("sensor_height", "vertical_step", "voxel_size"),
+    [
+        (0.6, 0.1, 0.05),  # step above the voxel: one level per z bin
+        (0.6, 0.05, 0.05),  # step equal to the voxel
+        (0.6, 0.02, 0.05),  # step below the voxel: several levels per z bin
+        (0.5, 0.25, 0.25),  # every lifted level sits exactly on a voxel face
+        (0.6, 0.1, None),  # no thinning
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_fusion_matches_rows_bit_for_bit(sensor_height, vertical_step, voxel_size, seed):
+    rng = np.random.default_rng(seed)
+    calib = _calib(sensor_height=sensor_height, floor_height=1.0, vertical_step=vertical_step)
+    scans = _random_scans(rng, 12)
+    poses = [_random_pose(rng) for _ in scans]
+    clouds = [extrude_walls(scan, calib) for scan in scans]
+    for cloud in clouds:
+        shape = cloud.temperatures.shape
+        cloud.temperatures[...] = np.where(rng.uniform(size=shape) < 0.3, np.nan, rng.uniform(10.0, 40.0, shape))
+    rows = [_extrude_rows(scan.points_xy, calib) for scan in scans]
+    for cloud, row in zip(clouds, rows):
+        assert np.array_equal(cloud.positions(), row)
+    out = accumulate_map(clouds, poses, calib, voxel_size=voxel_size)
+    ref_p, ref_t = _accumulate_rows(rows, [c.temperatures.reshape(-1) for c in clouds], poses, calib, voxel_size)
+    if voxel_size is not None:
+        assert 1 < len(out) < sum(len(c) for c in clouds)
+    assert np.array_equal(out.positions, ref_p)
+    assert np.array_equal(out.temperatures, ref_t, equal_nan=True)
+
+
+@pytest.mark.parametrize("gate", [None, 4.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_projection_matches_rows_bit_for_bit(gate, seed):
+    rng = np.random.default_rng(seed)
+    calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.1)
+    scan = ProjectedScan(0, rng.uniform([0.5, -2.0], [4.0, 2.0], (60, 2)))
+    cloud = extrude_walls(scan, calib)
+    rows = _extrude_rows(scan.points_xy, calib)
+    temps = cloud.temperatures.reshape(-1).copy()
+    dists = cloud.source_distance.reshape(-1).copy()
+    for _ in range(4):
+        # Cameras near the scanner, looking roughly along +x.
+        yaw = rng.uniform(-0.4, 0.4)
+        facing = RigidTransform3(FACING, np.zeros(3)).compose(
+            RigidTransform3(planar_to_rigid3(PlanarPose(theta=-yaw)).rotation, rng.uniform(-0.5, 0.5, 3))
+        )
+        image = ThermalImage(0, rng.uniform(15.0, 30.0, (11, 11)))
+        cloud = project_to_thermal(cloud, facing, INTRINSICS, image, max_cell_spread=gate)
+        _project_rows(rows, temps, dists, facing, image, gate)
+    assert np.isfinite(temps).any() and np.isnan(temps).any()
+    assert np.array_equal(cloud.temperatures.reshape(-1), temps, equal_nan=True)
+    assert np.array_equal(cloud.source_distance.reshape(-1), dists)
+
+
+def test_accumulate_map_peak_memory_scales_with_one_height_bin():
+    # 100 keyframes x 240 columns x 31 levels around one 4 x 4 m room, as
+    # the clouds of a session revisit the same walls.
+    rng = np.random.default_rng(12)
+    calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.1)
+    clouds, poses = [], []
+    for _ in range(100):
+        along = rng.uniform(-2.0, 2.0, 240)
+        side = rng.integers(0, 4, 240)
+        # Sides 0 and 1 are the walls y = -2 and y = 2, sides 2 and 3 are x = -2 and x = 2.
+        x = np.where(side < 2, along, 2.0 * np.sign(side - 2.5))
+        y = np.where(side < 2, 2.0 * np.sign(side - 0.5), along)
+        world = np.column_stack([x, y])
+        pose = PlanarPose(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
+        rot = planar_to_rigid3(pose).rotation[:2, :2]
+        local = (world - [pose.x, pose.y]) @ rot
+        cloud = extrude_walls(ProjectedScan(0, local), calib)
+        cloud.temperatures[...] = rng.uniform(10.0, 30.0, cloud.temperatures.shape)
+        clouds.append(cloud)
+        poses.append(pose)
+    grid_bytes = sum(cloud.temperatures.nbytes for cloud in clouds)
+    tracemalloc.start()
+    try:
+        out = accumulate_map(clouds, poses, calib, voxel_size=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) < 100 * 240 * 31 // 10
+    # One height bin holds 1/31 of the points as (x, y, z) rows, so fusion
+    # needs less extra memory than the temperature grids it reads.
+    assert peak <= grid_bytes
