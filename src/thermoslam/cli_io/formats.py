@@ -269,10 +269,6 @@ def temperatures_to_raw(temperatures: np.ndarray, scale: float, offset: float) -
     return raw.astype(np.uint16)
 
 
-def raw_to_temperatures(raw: np.ndarray, scale: float, offset: float) -> np.ndarray:
-    return np.asarray(raw, dtype=float) * scale + offset
-
-
 def write_thermal_frames(session_dir: Path, frames: list[ThermalImage], calib: Calibration) -> None:
     thermal_dir = Path(session_dir) / THERMAL_DIR
     _check_stamps(thermal_dir / THERMAL_INDEX, [frame.stamp for frame in frames])
@@ -292,9 +288,9 @@ def read_thermal_frames(session_dir: Path, calib: Calibration) -> list[ThermalIm
     for lineno, (stamp, name) in _read_table(index, THERMAL_HEADER):
         stamp = _parse_int(stamp, index, lineno, "stamp_ns")
         frame_path = thermal_dir / _bare_name(name, index, lineno, "frame")
-        temps = raw_to_temperatures(read_pgm16(frame_path), calib.thermal_scale, calib.thermal_offset)
+        raw = read_pgm16(frame_path)
         try:
-            frames.append(ThermalImage(stamp, temps))
+            frames.append(ThermalImage(stamp, raw, calib.thermal_scale, calib.thermal_offset))
         except ValueError as exc:
             raise _fail(frame_path, None, str(exc)) from None
     _check_stamps(index, [frame.stamp for frame in frames])

@@ -273,11 +273,11 @@ def optimize(graph: PoseGraph) -> OptimizeResult:
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        hf = h[3:, 3:]
+        damped = h[3:, 3:].copy()
         gf = g[3:]
-        scale = np.diag(np.maximum(np.diag(hf), 1e-12))
+        damped.flat[:: damped.shape[0] + 1] += damping * np.maximum(np.diag(damped), 1e-12)
         try:
-            step = np.linalg.solve(hf + damping * scale, -gf)
+            step = np.linalg.solve(damped, -gf)
         except np.linalg.LinAlgError:
             damping *= 10.0
             if damping > 1e12:

@@ -40,33 +40,43 @@ class CameraIntrinsics:
 
 @dataclass(eq=False)
 class ThermalImage:
-    """Radiometric frame in degrees Celsius.
+    """Radiometric frame: pixels p that read scale * p + offset degrees C.
 
-    Values must be finite and inside the plausible radiometric interval
-    (-40, 300) degC; ingest rejects anything else.
+    The pixels are kept as given, so a frame loaded from 16-bit counts holds
+    those counts; Celsius arrays take the default identity encoding. The
+    decoded temperatures must be finite and inside the plausible radiometric
+    interval (-40, 300) degC; ingest rejects anything else.
     """
 
     stamp: Timestamp
-    temperatures: np.ndarray
+    pixels: np.ndarray
+    scale: float = 1.0
+    offset: float = 0.0
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.temperatures, dtype=float)
+        self.pixels = np.asarray(self.pixels)
+        self.scale, self.offset = float(self.scale), float(self.offset)
+        t = self.temperatures
         if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
             raise ValueError("thermal image must be 2D, at least 2x2")
         if not np.all(np.isfinite(t)):
             raise ValueError("thermal image has non-finite temperatures")
         if t.min() <= -40.0 or t.max() >= 300.0:
             raise ValueError("temperatures outside plausible range (-40, 300) degC")
-        self.temperatures = t
         self.stamp = int(self.stamp)
 
     @property
+    def temperatures(self) -> np.ndarray:
+        """The pixels decoded to degrees C, as a new float array."""
+        return np.asarray(self.pixels, dtype=float) * self.scale + self.offset
+
+    @property
     def height(self) -> int:
-        return self.temperatures.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.temperatures.shape[1]
+        return self.pixels.shape[1]
 
 
 def _column_rows(points_xy: np.ndarray, heights: np.ndarray) -> np.ndarray:
@@ -254,11 +264,14 @@ def project_to_thermal(
     visible = front & (u >= 0.0) & (u <= intrinsics.width - 1.0) & (v >= 0.0) & (v <= intrinsics.height - 1.0)
     distance = np.linalg.norm(cam, axis=1)
     take = visible & (distance < source_distance)
-    if max_cell_spread is not None and np.any(take):
-        clean = _cell_spread(image.temperatures, u[take], v[take]) <= max_cell_spread
+    if not np.any(take):
+        return out
+    celsius = image.temperatures
+    if max_cell_spread is not None:
+        clean = _cell_spread(celsius, u[take], v[take]) <= max_cell_spread
         take[np.flatnonzero(take)[~clean]] = False
     if np.any(take):
-        temperatures[take] = _bilinear(image.temperatures, u[take], v[take])
+        temperatures[take] = _bilinear(celsius, u[take], v[take])
         source_distance[take] = distance[take]
     return out
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ from thermoslam.cli_io import (
 from thermoslam.cli_io.cli import main
 from thermoslam.cli_io.formats import (
     atomic_write_bytes,
-    raw_to_temperatures,
     read_pgm16,
     read_report,
     temperatures_to_raw,
@@ -305,7 +305,7 @@ def test_thermal_raw_quantization():
     rng = np.random.default_rng(21)
     temps = rng.uniform(-30.0, 200.0, (5, 7))
     raw = temperatures_to_raw(temps, scale=0.01, offset=-100.0)
-    back = raw_to_temperatures(raw, scale=0.01, offset=-100.0)
+    back = ThermalImage(0, raw, 0.01, -100.0).temperatures
     assert np.max(np.abs(back - temps)) <= 0.005 + 1e-12
     with pytest.raises(ValueError):
         temperatures_to_raw(np.array([1000.0]), scale=0.01, offset=-100.0)
@@ -328,6 +328,24 @@ def test_thermal_frames_roundtrip(tmp_path):
         "frame_000001.pgm",
         "index.csv",
     ]
+
+
+def test_read_thermal_frames_keeps_counts(tmp_path):
+    calib = _small_calib(width=80, height=60)
+    rng = np.random.default_rng(4)
+    stamps = [k * 100_000_000 for k in range(12)]
+    write_thermal_frames(tmp_path, [ThermalImage(s, rng.uniform(10.0, 35.0, (60, 80))) for s in stamps], calib)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        frames = read_thermal_frames(tmp_path, calib)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(frame.pixels.dtype == np.uint16 for frame in frames)
+    # The 16-bit counts plus a small fixed amount per frame; float64
+    # temperatures would take 8 bytes per pixel.
+    assert kept <= 2 * 60 * 80 * len(frames) + 1024 * len(frames)
 
 
 def test_thermal_index_rejects_path_escape(tmp_path):

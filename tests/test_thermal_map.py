@@ -20,6 +20,7 @@ from thermoslam import (
     project_to_thermal,
     voxel_thin,
 )
+from thermoslam.cli_io.pipeline import estimate_image_noise
 from thermoslam.core import planar_to_rigid3
 from thermoslam.scan_frontend import ProjectedScan
 
@@ -187,6 +188,34 @@ def test_thermal_image_validation():
         ThermalImage(0, np.full((11, 11), np.nan))
     with pytest.raises(ValueError):
         ThermalImage(0, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("count", [5999, 40001])
+def test_thermal_image_rejects_counts_outside_plausible_range(count):
+    pixels = np.full((11, 11), 12000, dtype=np.uint16)
+    pixels[3, 4] = count  # -40.01 or 300.01 degC
+    with pytest.raises(ValueError, match=r"temperatures outside plausible range \(-40, 300\) degC"):
+        ThermalImage(0, pixels, 0.01, -100.0)
+
+
+def test_counts_and_decoded_floats_give_the_same_bits():
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        counts = rng.integers(11500, 13500, (11, 11)).astype(np.uint16)  # 15..35 degC
+        frame = ThermalImage(7, counts, 0.01, -100.0)
+        floats = ThermalImage(7, frame.temperatures)
+        assert estimate_image_noise(frame) == estimate_image_noise(floats)
+        pose = _facing(rng.uniform(-0.5, 0.5))
+        for gate in (None, 12.0):
+            from_counts = project_to_thermal(_grid_cloud(), pose, INTRINSICS, frame, max_cell_spread=gate)
+            from_floats = project_to_thermal(_grid_cloud(), pose, INTRINSICS, floats, max_cell_spread=gate)
+            assert np.array_equal(from_counts.temperatures, from_floats.temperatures, equal_nan=True)
+            assert np.array_equal(from_counts.source_distance, from_floats.source_distance)
+            set_points = np.count_nonzero(np.isfinite(from_counts.temperatures))
+            if gate is None:
+                assert set_points == 81
+            else:
+                assert 0 < set_points < 81
 
 
 def test_camera_intrinsics_validation():
