@@ -1,8 +1,8 @@
 """Session-to-map pipeline.
 
-Chains the front end (gravity leveling, scan-to-keyframe odometry), wall
-extrusion, thermal projection, loop-closure detection, and pose-graph
-refinement into one deterministic run over a loaded session.
+Chains the front end (gravity leveling, scan-to-keyframe odometry),
+loop-closure detection, pose-graph refinement, wall extrusion with thermal
+projection, and fusion into one deterministic run over a loaded session.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import PlanarPose, Timestamp, compose, inverse, planar_to_rigid3, wrap_angle
+from ..core import PlanarPose, RigidTransform3, Timestamp, compose, inverse, planar_to_rigid3, wrap_angle
 from ..pose_graph import GraphEdge, PoseGraph, detect_loop_closures, optimize
 from ..scan_frontend import (
     DegenerateScanError,
@@ -118,6 +118,15 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
 
     The map and trajectory live in the frame of the first usable scan
     (node 0). Deterministic: identical datasets produce identical results.
+
+    Stages run so that each frees what the next does not need. Odometry
+    keeps only the keyframe scans and every scan's stamp. Loop detection
+    is the last reader of the keyframes' normals and search trees, which
+    are dropped before the pose-graph solve. Painting reads only odometry
+    poses, so it comes after the solve: this function owns each keyframe
+    cloud's distance grid, extrudes the keyframe, paints it with its
+    frames in session order and releases the grid (source_distance None)
+    before the next keyframe is extruded. Fusion gets temperatures only.
     """
     if not dataset.scans:
         raise ValueError("session has no scans")
@@ -161,17 +170,30 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
             kf_poses.append(scan_poses[-1])
             rel_to_kf = PlanarPose()
 
-    kf_scans = [projected[i] for i in kf_indices]
-    clouds: list[WallCloud] = [extrude_walls(s, dataset.calib) for s in kf_scans]
-
-    # Thermal attachment: each frame colors the keyframe cloud nearest in
-    # time, using the camera pose interpolated from the dense scan track.
+    # Past odometry only the keyframe scans and every scan's stamp are read.
     scan_stamps = np.array([p.stamp for p in projected], dtype=np.int64)
+    kf_scans = [projected[i] for i in kf_indices]
+    del projected
+
+    loop_edges, loop_rejected, loop_associations = detect_loop_closures(kf_scans, kf_poses)
+    # Extrusion reads only the points: fresh scans leave the matched ones'
+    # normals and search trees behind.
+    kf_scans = [ProjectedScan(s.stamp, s.points_xy) for s in kf_scans]
+
+    edges: list[GraphEdge] = [
+        GraphEdge(n, n + 1, rel, kind="odometry") for n, rel in enumerate(kf_relatives)
+    ]
+    edges.extend(loop_edges)
+    solved = optimize(PoseGraph(kf_poses, edges))
+
+    # Thermal attachment: each frame goes to the keyframe nearest in time,
+    # with the camera pose interpolated from the dense odometry track.
     node_stamps = scan_stamps[kf_indices]
     track = _DenseTrack(scan_stamps, scan_poses)
     frames_used = 0
     frames_far = 0
     frames_unsteady = 0
+    paint: list[list[tuple[ThermalImage, RigidTransform3, float]]] = [[] for _ in kf_indices]
     for frame in dataset.frames:
         slot = int(np.searchsorted(node_stamps, frame.stamp))
         candidates = [i for i in (slot - 1, slot) if 0 <= i < len(node_stamps)]
@@ -186,22 +208,18 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         node_lift = planar_to_rigid3(kf_poses[node], dataset.calib.sensor_height)
         camera_pose = dataset.calib.camera_extrinsic.compose(sensor_at_frame.inverse()).compose(node_lift)
         gate = max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(frame))
-        clouds[node] = project_to_thermal(
-            clouds[node],
-            camera_pose,
-            dataset.calib.intrinsics,
-            frame,
-            max_cell_spread=gate,
-        )
+        paint[node].append((frame, camera_pose, gate))
         frames_used += 1
 
-    loop_edges, loop_rejected, loop_associations = detect_loop_closures(kf_scans, kf_poses)
-
-    edges: list[GraphEdge] = [
-        GraphEdge(n, n + 1, rel, kind="odometry") for n, rel in enumerate(kf_relatives)
-    ]
-    edges.extend(loop_edges)
-    solved = optimize(PoseGraph(kf_poses, edges))
+    # One keyframe at a time: extrude, paint with its frames in session
+    # order, then drop the distance grid before the next one is extruded.
+    clouds: list[WallCloud] = []
+    for scan, views in zip(kf_scans, paint):
+        cloud = extrude_walls(scan, dataset.calib)
+        for frame, camera_pose, gate in views:
+            cloud = project_to_thermal(cloud, camera_pose, dataset.calib.intrinsics, frame, max_cell_spread=gate)
+        cloud.source_distance = None
+        clouds.append(cloud)
 
     final_poses = solved.graph.nodes
     session_stamp = dataset.scans[0].stamp

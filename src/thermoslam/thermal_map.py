@@ -5,8 +5,11 @@ standing at every extrusion height: columns x levels, kept as (n, L) grids
 of temperatures and source distances rather than as 3D rows. Clouds are
 colored by projecting them into radiometric thermal frames through a
 pinhole camera; a point keeps the reading from the closest camera that saw
-it. Fusion lifts every column into the world once and then voxel-thins the
-map one height bin at a time.
+it. The distance grid exists only for that rule: the cloud carries it while
+it is being painted, and its owner drops it (``source_distance = None``)
+once the cloud's last frame is in, so a finished cloud holds one grid.
+Fusion lifts every column into the world once and then voxel-thins the map
+one height bin at a time.
 """
 
 from __future__ import annotations
@@ -98,20 +101,23 @@ class WallCloud:
     source_distance are (n, L) grids, entry [k, l] being column k at
     heights[l]. temperatures are NaN until a thermal frame sees the point;
     source_distance records the point-to-camera distance of the frame that
-    set the current temperature (inf while unset).
+    set the current temperature (inf while unset). source_distance is None
+    once painting is done: the painter sets it to None after the cloud's
+    last frame, which frees that grid, and :func:`project_to_thermal`
+    refuses such a cloud.
     """
 
     points: np.ndarray
     heights: np.ndarray
     temperatures: np.ndarray
-    source_distance: np.ndarray
+    source_distance: np.ndarray | None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.points, dtype=float).reshape(-1, 2)
         h = np.asarray(self.heights, dtype=float).reshape(-1)
         shape = (p.shape[0], h.size)
         t = np.asarray(self.temperatures, dtype=float).reshape(shape)
-        d = np.asarray(self.source_distance, dtype=float).reshape(shape)
+        d = None if self.source_distance is None else np.asarray(self.source_distance, dtype=float).reshape(shape)
         if h.size == 0:
             raise ValueError("wall cloud needs at least one height")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(h))):
@@ -126,9 +132,8 @@ class WallCloud:
         return _column_rows(self.points, self.heights)
 
     def copy(self) -> "WallCloud":
-        return WallCloud(
-            self.points.copy(), self.heights.copy(), self.temperatures.copy(), self.source_distance.copy()
-        )
+        d = None if self.source_distance is None else self.source_distance.copy()
+        return WallCloud(self.points.copy(), self.heights.copy(), self.temperatures.copy(), d)
 
 
 @dataclass(eq=False)
@@ -199,7 +204,8 @@ def extrude_walls(scan: ProjectedScan, calib: Calibration) -> WallCloud:
     Heights run from floor level (-sensor_height below the sensor plane)
     up to floor_height - sensor_height, giving
     floor(floor_height / vertical_step) + 1 levels per column. The (x, y)
-    of every source point is kept exactly; every grid entry starts unset.
+    of every source point is kept exactly; every grid entry starts unset,
+    and the cloud carries its distance grid until its painter drops it.
     """
     zs = calib.heights()
     shape = (scan.points_xy.shape[0], zs.size)
@@ -238,8 +244,10 @@ def project_to_thermal(
     camera_pose maps cloud coordinates into the camera frame. A point is
     eligible when its camera-frame depth is strictly positive and its pixel
     lands inside the image; it takes the sampled temperature only if this
-    camera is closer than whichever frame set the point before. Returns an
-    updated copy; the input cloud is untouched.
+    camera is closer than whichever frame set the point before, so the
+    cloud must still carry its distance grid; a cloud whose painting is
+    done (source_distance None) raises ValueError. Returns an updated
+    copy with its own distance grid; the input cloud is untouched.
 
     max_cell_spread, when given, skips samples whose 2x2 interpolation
     cell spans more than that many degrees: such pixels straddle a depth
@@ -248,6 +256,8 @@ def project_to_thermal(
     """
     if image.width != intrinsics.width or image.height != intrinsics.height:
         raise ValueError("image size does not match intrinsics")
+    if cloud.source_distance is None:
+        raise ValueError("wall cloud painting is done: it has no distance grid")
     out = cloud.copy()
     # Row views of the (n, L) grids, in the order of cloud.positions().
     temperatures = out.temperatures.reshape(-1)
@@ -324,7 +334,8 @@ def accumulate_map(
     Each cloud is lifted by its node pose at the scanner height, so a node
     at the identity contributes its local cloud shifted up by
     sensor_height. The clouds must share their heights. Points follow node
-    order, then column, then level.
+    order, then column, then level. Only points, heights and temperatures
+    are read, so finished clouds (no distance grid) fuse as painted ones do.
 
     With voxel_size, positions and set temperatures are averaged per voxel
     as voxel_thin does over all points at once: voxels in (x, y, z) index

@@ -1,0 +1,96 @@
+"""Stage order and memory of ``cli_io.pipeline.run_mapping``.
+
+The pipeline solves the pose graph before any wall cloud exists, then
+extrudes and paints one keyframe at a time and drops each cloud's distance
+grid once its frames are in. These tests watch the calls through the
+pipeline module's names, the same names the benchmark's tracer wraps.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from thermoslam import NoiseSpec, TrajectorySpec, rectangle_site, simulate_session
+from thermoslam.cli_io import pipeline
+
+# Two laps of a square inside the 4 x 4 m room: the second lap revisits the
+# first one's keyframes, so loop detection has edges to accept, and every
+# wall is painted by about twice as many keyframes as it has map cells.
+SQUARE = ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0))
+TWO_LAPS = SQUARE + SQUARE + SQUARE[:1]
+
+
+@pytest.fixture(scope="module")
+def looped_session():
+    traj = TrajectorySpec(waypoints=TWO_LAPS, speed=1.0, thermal_rate=2.0)
+    return simulate_session(rectangle_site(), traj, NoiseSpec(), seed=3)
+
+
+def test_run_mapping_solves_first_then_paints_one_keyframe_at_a_time(looped_session, monkeypatch):
+    calls = []
+
+    def log(name):
+        original = getattr(pipeline, name)
+
+        def logged(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(pipeline, name, logged)
+
+    for name in ("detect_loop_closures", "optimize", "extrude_walls", "project_to_thermal", "accumulate_map"):
+        log(name)
+    diagnostics = pipeline.run_mapping(looped_session).diagnostics
+    names = [name for name, _, _ in calls]
+    assert diagnostics["loop_edges"] > 0
+    assert names.index("detect_loop_closures") < names.index("optimize") < names.index("extrude_walls")
+    assert names.count("extrude_walls") == diagnostics["keyframes"]
+    assert names.count("project_to_thermal") == diagnostics["frames_used"] > 0
+
+    # Every frame paints the cloud that the latest extrusion or frame
+    # returned, so each keyframe's frames come in one run; frames keep
+    # session order.
+    finished = []
+    stamps = []
+    for name, args, result in calls:
+        if name == "extrude_walls":
+            finished.append(result)
+        elif name == "project_to_thermal":
+            assert args[0] is finished[-1]
+            finished[-1] = result
+            stamps.append(args[3].stamp)
+    assert stamps == sorted(stamps)
+
+    # Fusion gets exactly those last clouds, in keyframe order, with their
+    # distance grids released.
+    assert names[-1] == "accumulate_map"
+    fused = calls[-1][1][0]
+    assert len(fused) == len(finished)
+    assert all(a is b for a, b in zip(fused, finished))
+    assert all(cloud.source_distance is None for cloud in fused)
+
+
+def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch):
+    grid_bytes = 0
+    extrude = pipeline.extrude_walls
+
+    def counted(scan, calib):
+        nonlocal grid_bytes
+        cloud = extrude(scan, calib)
+        grid_bytes += cloud.temperatures.nbytes + cloud.source_distance.nbytes
+        return cloud
+
+    monkeypatch.setattr(pipeline, "extrude_walls", counted)
+    tracemalloc.start()
+    try:
+        pipeline.run_mapping(looped_session)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Holding the temperature and distance grids of all keyframes at once
+    # would alone reach grid_bytes. The peak is in fusion, which holds every
+    # temperature grid plus one height bin's rows.
+    assert peak < grid_bytes

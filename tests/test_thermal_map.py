@@ -181,6 +181,13 @@ def test_project_to_thermal_rejects_size_mismatch():
         project_to_thermal(_grid_cloud(), _facing(), INTRINSICS, image)
 
 
+def test_project_to_thermal_refuses_a_finished_cloud():
+    cloud = project_to_thermal(_grid_cloud(), _facing(), INTRINSICS, _flat_image(25.0))
+    cloud.source_distance = None
+    with pytest.raises(ValueError, match="painting is done"):
+        project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(30.0))
+
+
 def test_thermal_image_validation():
     with pytest.raises(ValueError):
         ThermalImage(0, np.full((11, 11), 500.0))
@@ -234,6 +241,9 @@ def test_wall_cloud_copy():
     dup = cloud.copy()
     dup.temperatures[1, 0] = 99.0
     assert cloud.temperatures[1, 0] == 21.5
+    # A finished cloud has no distance grid, and neither has its copy.
+    finished = WallCloud(cloud.points, cloud.heights, cloud.temperatures, None)
+    assert finished.copy().source_distance is None
 
 
 def test_wall_cloud_validation():
@@ -380,6 +390,20 @@ def test_accumulate_map_applies_node_poses():
     pose = PlanarPose(2.0, 1.0, math.pi / 2.0)
     out = accumulate_map([cloud], [pose], calib, voxel_size=None)
     assert np.allclose(out.positions[0], [2.0, 2.0, 0.6], atol=1e-12)
+
+
+@pytest.mark.parametrize("voxel_size", [None, 0.05])
+def test_accumulate_map_reads_no_distance_grid(voxel_size):
+    calib = _calib(vertical_step=0.5)
+    shape = (2, calib.heights().size)
+    painting = WallCloud([[1.0, 0.0], [1.2, 0.3]], calib.heights(), np.full(shape, 20.0), np.ones(shape))
+    painting.temperatures[1, ::2] = np.nan
+    finished = WallCloud(painting.points, painting.heights, painting.temperatures, None)
+    pose = PlanarPose(0.3, -0.2, 0.4)
+    a = accumulate_map([painting], [pose], calib, voxel_size=voxel_size)
+    b = accumulate_map([finished], [pose], calib, voxel_size=voxel_size)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.temperatures, b.temperatures, equal_nan=True)
 
 
 def test_accumulate_map_validation():
