@@ -131,8 +131,8 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     if not dataset.scans:
         raise ValueError("session has no scans")
 
-    gravity = filter_gravity(dataset.imu)
-    pairs, dropped_gravity = associate_gravity(dataset.scans, gravity)
+    # Only each scan's paired vector outlives the pairing, not one per IMU sample.
+    pairs, dropped_gravity = associate_gravity(dataset.scans, filter_gravity(dataset.imu))
 
     projected: list[ProjectedScan] = []
     degenerate = 0

@@ -26,6 +26,17 @@ def wrap_angle(angle: float) -> float:
     return math.pi - (math.pi - angle) % TWO_PI
 
 
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """Array form of :func:`wrap_angle`, equal to it element by element.
+
+    np.remainder follows Python's float ``%``, so each element gets the
+    same bits that wrap_angle gives it.
+    """
+    a = np.asarray(angles, dtype=float)
+    inside = (a > -math.pi) & (a <= math.pi)
+    return np.where(inside, a, math.pi - np.remainder(math.pi - a, TWO_PI))
+
+
 @dataclass(frozen=True)
 class Vec3:
     """A finite 3D vector."""

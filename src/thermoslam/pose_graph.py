@@ -6,7 +6,8 @@ Each edge constrains the relative pose of its two nodes, measured by scan
 matching between consecutive keyframes (odometry) or revisits (loop
 closures). :func:`optimize` minimizes the Huber-robust sum of the weighted
 relative-pose residuals with Levenberg-Marquardt, holding node 0 fixed as
-the gauge anchor.
+the gauge anchor. Every edge's residual is evaluated in one batched pass,
+and each step is one sparse LU solve; no dense matrix over all poses exists.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from .core import HuberLoss, PlanarPose, compose, inverse, wrap_angle
+from .core import HuberLoss, PlanarPose, compose, inverse, wrap_angles
 from .scan_frontend import ProjectedScan, match_scans
 
 EDGE_KINDS = ("odometry", "loop_closure")
-
-_SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])  # d/dtheta of a rotation, left factor
 
 # Weights of the translation and rotation rows of each edge residual, and
 # the robust loss on each edge's weighted residual norm.
@@ -155,45 +156,44 @@ def detect_loop_closures(
 
 
 # ---------------------------------------------------------------------------
-# Residual block. Returns (residual, d residual / d pose_i,
-# d residual / d pose_j); pose parameters are ordered (x, y, theta).
+# Residual blocks, one row per edge; pose parameters are (x, y, theta).
 
 
-def relative_pose_residual(
-    pose_i: PlanarPose,
-    pose_j: PlanarPose,
-    measured: PlanarPose,
+def relative_pose_residuals(
+    poses_i: np.ndarray, poses_j: np.ndarray, measured: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted mismatch between the estimated and measured relative pose.
+    """Weighted mismatch between estimated and measured relative poses, per edge.
 
-    The residual is [sqrt(tw)*dx, sqrt(tw)*dy, sqrt(rw)*dtheta] of the
-    error transform (estimated relative)^-1 * measured, with tw and rw the
-    TRANSLATION_WEIGHT and ROTATION_WEIGHT; it vanishes when the poses
-    agree with the measurement.
+    Row e of each (E, 3) argument and of the (E, 3) residual is edge e's.
+    The residual is [sqrt(tw)*dx, sqrt(tw)*dy, sqrt(rw)*dtheta] of the error
+    transform (estimated relative)^-1 * measured, with tw and rw the
+    TRANSLATION_WEIGHT and ROTATION_WEIGHT; it vanishes when the poses agree
+    with the measurement. Also returns the (E, 3, 3) Jacobians
+    d residual / d pose_i and d residual / d pose_j.
     """
     sqrt_t = math.sqrt(TRANSLATION_WEIGHT)
     sqrt_r = math.sqrt(ROTATION_WEIGHT)
-    u = np.array([pose_j.x - pose_i.x, pose_j.y - pose_i.y])
-    tm = np.array([measured.x, measured.y])
-    a = pose_i.theta - pose_j.theta
-    ca, sa = math.cos(a), math.sin(a)
-    rot_a = np.array([[ca, -sa], [sa, ca]])  # R(theta_i - theta_j)
-    cj, sj = math.cos(pose_j.theta), math.sin(pose_j.theta)
-    rot_nj = np.array([[cj, sj], [-sj, cj]])  # R(-theta_j)
-    et = rot_a @ tm - rot_nj @ u
-    etheta = wrap_angle(measured.theta - pose_j.theta + pose_i.theta)
-    r = np.array([sqrt_t * et[0], sqrt_t * et[1], sqrt_r * etheta])
+    ux, uy = (poses_j[:, :2] - poses_i[:, :2]).T
+    a = poses_i[:, 2] - poses_j[:, 2]
+    ca, sa = np.cos(a), np.sin(a)
+    cj, sj = np.cos(poses_j[:, 2]), np.sin(poses_j[:, 2])
+    # m = R(theta_i - theta_j) @ measured translation, v = R(-theta_j) @ u.
+    mx = ca * measured[:, 0] - sa * measured[:, 1]
+    my = sa * measured[:, 0] + ca * measured[:, 1]
+    vx = cj * ux + sj * uy
+    vy = cj * uy - sj * ux
+    etheta = wrap_angles(measured[:, 2] - poses_j[:, 2] + poses_i[:, 2])
+    r = np.column_stack([sqrt_t * (mx - vx), sqrt_t * (my - vy), sqrt_r * etheta])
 
-    ji = np.zeros((3, 3))
-    jj = np.zeros((3, 3))
-    spin_rot_tm = _SPIN @ rot_a @ tm
-    ji[:2, :2] = sqrt_t * rot_nj
-    ji[:2, 2] = sqrt_t * spin_rot_tm
-    ji[2, 2] = sqrt_r
-    jj[:2, :2] = -sqrt_t * rot_nj
-    jj[:2, 2] = sqrt_t * (-spin_rot_tm + _SPIN @ rot_nj @ u)
-    jj[2, 2] = -sqrt_r
-    return r, ji, jj
+    # d R / d theta = S R with S = [[0, -1], [1, 0]]: theta_i moves the
+    # translation rows by sqrt(tw) S m and theta_j by -S of those rows.
+    jac_i = np.zeros((len(r), 3, 3))
+    jac_i[:, :2, :2] = sqrt_t * np.stack([cj, sj, -sj, cj], axis=1).reshape(-1, 2, 2)
+    jac_i[:, :2, 2] = sqrt_t * np.column_stack([-my, mx])
+    jac_i[:, 2, 2] = sqrt_r
+    jac_j = -jac_i
+    jac_j[:, :2, 2] = np.column_stack([r[:, 1], -r[:, 0]])
+    return r, jac_i, jac_j
 
 
 @dataclass(eq=False)
@@ -209,52 +209,52 @@ def _pose_array(graph: PoseGraph) -> np.ndarray:
     return np.array([[p.x, p.y, p.theta] for p in graph.nodes])
 
 
-def _pass(states: np.ndarray, graph: PoseGraph, with_derivatives: bool):
-    """One sweep over all relative-pose residual blocks.
+def _edge_arrays(graph: PoseGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(E, 2) endpoint ids and (E, 3) measured poses, in edge order."""
+    ids = np.array([(e.from_id, e.to_id) for e in graph.edges], dtype=np.intp)
+    measured = np.array([(e.measured.x, e.measured.y, e.measured.theta) for e in graph.edges])
+    return ids.reshape(-1, 2), measured.reshape(-1, 3)
 
-    Returns (objective, H, g); H and g are None unless requested. Robust
-    weighting is applied per block via the usual rho'(r)/r scheme.
+
+def _pass(states: np.ndarray, edges: tuple[np.ndarray, np.ndarray]):
+    """Every relative-pose residual block, evaluated at once.
+
+    Returns (objective, H, g), with H a sparse CSC matrix. H and g cover
+    node 1 onwards, node k at 3(k-1) to 3(k-1)+2: the anchor is left out.
+    Robust weighting is applied per block via the usual rho'(r)/r scheme.
     """
-    dim = 3 * len(graph.nodes)
-    h = np.zeros((dim, dim)) if with_derivatives else None
-    g = np.zeros(dim) if with_derivatives else None
-    objective = 0.0
-
-    def pose_of(k: int) -> PlanarPose:
-        return PlanarPose(states[k, 0], states[k, 1], states[k, 2])
-
-    for edge in graph.edges:
-        ki, kj = edge.from_id, edge.to_id
-        pose_i, pose_j = pose_of(ki), pose_of(kj)
-        r, jac_i, jac_j = relative_pose_residual(pose_i, pose_j, edge.measured)
-        norm = float(np.linalg.norm(r))
-        objective += float(EDGE_LOSS.values(np.array([norm]))[0])
-        if with_derivatives:
-            w = float(EDGE_LOSS.weights(np.array([norm]))[0])
-            si, sj = 3 * ki, 3 * kj
-            h[si : si + 3, si : si + 3] += w * jac_i.T @ jac_i
-            h[sj : sj + 3, sj : sj + 3] += w * jac_j.T @ jac_j
-            cross = w * jac_i.T @ jac_j
-            h[si : si + 3, sj : sj + 3] += cross
-            h[sj : sj + 3, si : si + 3] += cross.T
-            g[si : si + 3] += w * jac_i.T @ r
-            g[sj : sj + 3] += w * jac_j.T @ r
-    return objective, h, g
+    ids, measured = edges
+    r, jac_i, jac_j = relative_pose_residuals(states[ids[:, 0]], states[ids[:, 1]], measured)
+    norms = np.linalg.norm(r, axis=1)
+    # Each edge touches six parameters, its from-node's then its to-node's.
+    # The anchor's come out negative and are dropped; tocsc sums duplicates.
+    jac = np.concatenate([jac_i, jac_j], axis=2)
+    weighted_t = EDGE_LOSS.weights(norms)[:, None, None] * jac.transpose(0, 2, 1)
+    params = (3 * ids[:, :, None] - 3 + np.arange(3)).reshape(-1, 6)
+    rows, cols = np.repeat(params, 6, axis=1), np.tile(params, 6)
+    keep = (rows >= 0) & (cols >= 0)
+    dim = 3 * (len(states) - 1)
+    blocks = (weighted_t @ jac).reshape(-1, 36)
+    h = sparse.coo_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(dim, dim)).tocsc()
+    free = params >= 0
+    g = np.bincount(params[free], weights=(weighted_t @ r[:, :, None])[:, :, 0][free], minlength=dim)
+    return float(EDGE_LOSS.values(norms).sum()), h, g
 
 
 def objective(graph: PoseGraph) -> float:
     """Robust objective at the graph's current poses."""
-    value, _, _ = _pass(_pose_array(graph), graph, False)
-    return value
+    return _pass(_pose_array(graph), _edge_arrays(graph))[0]
 
 
 def optimize(graph: PoseGraph) -> OptimizeResult:
     """Damped least-squares refinement of all poses except the anchor.
 
-    Node 0 is the gauge anchor and comes back as the same object; an
-    empty graph raises ValueError. Steps are only accepted when the
-    objective does not increase, so the objective is non-increasing over
-    accepted iterations; termination is by relative objective change
+    Each Levenberg-Marquardt step damps the sparse Hessian's diagonal and
+    solves with one SuperLU factor; an exactly singular factor raises the
+    damping instead. Node 0 is the gauge anchor and comes back as the same
+    object; an empty graph raises ValueError. Steps are only accepted when
+    the objective does not increase, so the objective is non-increasing
+    over accepted iterations; termination is by relative objective change
     (RELATIVE_TOLERANCE) or the iteration cap (MAX_ITERATIONS), and a
     non-converged run still returns its best iterate, flagged.
     """
@@ -266,27 +266,26 @@ def optimize(graph: PoseGraph) -> OptimizeResult:
         return OptimizeResult(graph, True, 0, value, value)
 
     # The anchor's three parameters stay fixed: the system is over the rest.
+    edges = _edge_arrays(graph)
     states = _pose_array(graph)
-    value, h, g = _pass(states, graph, True)
+    value, h, g = _pass(states, edges)
     initial = value
     damping = INITIAL_DAMPING
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        damped = h[3:, 3:].copy()
-        gf = g[3:]
-        damped.flat[:: damped.shape[0] + 1] += damping * np.maximum(np.diag(damped), 1e-12)
+        damped = h + sparse.diags(damping * np.maximum(h.diagonal(), 1e-12), format="csc")
         try:
-            step = np.linalg.solve(damped, -gf)
-        except np.linalg.LinAlgError:
+            step = splu(damped).solve(-g)
+        except RuntimeError:  # the factor is exactly singular
             damping *= 10.0
             if damping > 1e12:
                 break
             continue
         cand = states.copy()
         cand.reshape(-1)[3:] += step
-        cand[:, 2] = np.array([wrap_angle(t) for t in cand[:, 2]])
-        cand_value, cand_h, cand_g = _pass(cand, graph, True)
+        cand[:, 2] = wrap_angles(cand[:, 2])
+        cand_value, cand_h, cand_g = _pass(cand, edges)
         if cand_value <= value:
             drop = value - cand_value
             states, value, h, g = cand, cand_value, cand_h, cand_g

@@ -17,7 +17,7 @@ from thermoslam import (
     rotation_aligning,
     wrap_angle,
 )
-from thermoslam.core import GravityVector
+from thermoslam.core import GravityVector, wrap_angles
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -32,6 +32,17 @@ def test_wrap_angle_range_and_fixed_points():
         # Same direction: difference is a whole number of turns.
         turns = (a - w) / (2.0 * math.pi)
         assert abs(turns - round(turns)) < 1e-9
+
+
+def test_wrap_angles_equals_wrap_angle_bit_for_bit():
+    rng = np.random.default_rng(1)
+    below = np.nextafter(-math.pi, -4.0)
+    above = np.nextafter(-math.pi, 0.0)
+    edges = [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, 0.0, -0.0, below, above]
+    angles = np.concatenate([rng.uniform(-50.0, 50.0, 1000), edges])
+    got = wrap_angles(angles)
+    want = np.array([wrap_angle(float(a)) for a in angles])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_vec3_validation_and_norm():

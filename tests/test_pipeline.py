@@ -8,11 +8,12 @@ pipeline module's names, the same names the benchmark's tracer wraps.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
 
-from thermoslam import NoiseSpec, TrajectorySpec, rectangle_site, simulate_session
+from thermoslam import GravityVector, NoiseSpec, TrajectorySpec, rectangle_site, simulate_session
 from thermoslam.cli_io import pipeline
 
 # Two laps of a square inside the 4 x 4 m room: the second lap revisits the
@@ -94,3 +95,23 @@ def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch
     # would alone reach grid_bytes. The peak is in fusion, which holds every
     # temperature grid plus one height bin's rows.
     assert peak < grid_bytes
+
+
+def test_run_mapping_keeps_only_the_paired_gravity_for_the_solve(looped_session, monkeypatch):
+    def live_gravity():
+        gc.collect()
+        return sum(isinstance(obj, GravityVector) for obj in gc.get_objects())
+
+    solve = pipeline.optimize
+    held = []
+
+    def counted(graph):
+        held.append(live_gravity())
+        return solve(graph)
+
+    monkeypatch.setattr(pipeline, "optimize", counted)
+    before = live_gravity()
+    pipeline.run_mapping(looped_session)
+    # One filtered vector per IMU sample would be many times the scan count;
+    # only each scan's paired vector may outlive the pairing.
+    assert held[0] - before <= len(looped_session.scans)

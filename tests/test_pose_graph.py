@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from thermoslam import (
     match_scans,
     optimize,
 )
-from thermoslam.pose_graph import objective, relative_pose_residual
+from thermoslam.pose_graph import objective, relative_pose_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -54,29 +55,40 @@ def test_pose_graph_rejects_endpoint_outside_nodes(endpoint):
 
 
 # ---------------------------------------------------------------------------
-# Relative-pose residual.
+# Relative-pose residuals.
+
+
+def _rows(poses: list[PlanarPose]) -> np.ndarray:
+    return np.array([[p.x, p.y, p.theta] for p in poses])
 
 
 def test_relative_pose_residual_zero_when_consistent():
     rng = np.random.default_rng(9)
+    poses_i, poses_j, measured = [], [], []
     for _ in range(50):
-        pose_i = PlanarPose(*rng.uniform(-3, 3, 3))
-        measured = PlanarPose(*rng.uniform(-1, 1, 3))
-        pose_j = compose(pose_i, measured)
-        r, _, _ = relative_pose_residual(pose_i, pose_j, measured)
-        assert np.abs(r).max() < 1e-12
+        poses_i.append(PlanarPose(*rng.uniform(-3, 3, 3)))
+        measured.append(PlanarPose(*rng.uniform(-1, 1, 3)))
+        poses_j.append(compose(poses_i[-1], measured[-1]))
+    r, _, _ = relative_pose_residuals(_rows(poses_i), _rows(poses_j), _rows(measured))
+    assert r.shape == (50, 3)
+    assert np.abs(r).max() < 1e-12
 
 
 def test_relative_pose_residual_is_gauge_invariant():
     rng = np.random.default_rng(10)
+    poses_i, poses_j, measured, gauges = [], [], [], []
     for _ in range(20):
-        pose_i = PlanarPose(*rng.uniform(-3, 3, 3))
-        pose_j = PlanarPose(*rng.uniform(-3, 3, 3))
-        measured = PlanarPose(*rng.uniform(-1, 1, 3))
-        gauge = PlanarPose(*rng.uniform(-5, 5, 3))
-        r0, _, _ = relative_pose_residual(pose_i, pose_j, measured)
-        r1, _, _ = relative_pose_residual(compose(gauge, pose_i), compose(gauge, pose_j), measured)
-        assert np.allclose(r0, r1, atol=1e-9)
+        poses_i.append(PlanarPose(*rng.uniform(-3, 3, 3)))
+        poses_j.append(PlanarPose(*rng.uniform(-3, 3, 3)))
+        measured.append(PlanarPose(*rng.uniform(-1, 1, 3)))
+        gauges.append(PlanarPose(*rng.uniform(-5, 5, 3)))
+    r0, _, _ = relative_pose_residuals(_rows(poses_i), _rows(poses_j), _rows(measured))
+    r1, _, _ = relative_pose_residuals(
+        _rows([compose(g, p) for g, p in zip(gauges, poses_i)]),
+        _rows([compose(g, p) for g, p in zip(gauges, poses_j)]),
+        _rows(measured),
+    )
+    assert np.allclose(r0, r1, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +155,36 @@ def test_optimize_improves_noisy_loop():
     assert result.converged
     assert worst_error(result.graph) < before
     assert result.final_objective < result.initial_objective
+
+
+def test_optimize_large_loop_graph_stays_small():
+    # Two laps of 500 nodes each with noisy odometry and a closure every
+    # tenth node of the second lap. A dense (3N)^2 Hessian alone would be
+    # 72 MB here; the sparse solve needs a few.
+    rng = np.random.default_rng(16)
+    step = PlanarPose(0.1, 0.0, 2.0 * math.pi / 500)
+    truth = [PlanarPose()]
+    for _ in range(999):
+        truth.append(compose(truth[-1], step))
+    edges = []
+    init = [PlanarPose()]
+    for k in range(999):
+        noise = PlanarPose(*rng.normal(0.0, [0.01, 0.01, 0.002]))
+        edges.append(GraphEdge(k, k + 1, compose(step, noise)))
+        init.append(compose(init[-1], edges[-1].measured))
+    for k in range(0, 500, 10):
+        edges.append(GraphEdge(k, k + 500, compose(inverse(truth[k]), truth[k + 500]), kind="loop_closure"))
+    graph = PoseGraph(init, edges)
+
+    tracemalloc.start()
+    try:
+        result = optimize(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert result.final_objective < result.initial_objective
+    assert peak < 16 * 2**20
 
 
 def test_optimize_requires_anchor_and_connectivity():
