@@ -190,6 +190,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_maturity(args: argparse.Namespace) -> int:
+    # Checked before any map is read: a NaN datum or rate limit would
+    # otherwise pass through every comparison as "no maturity, no alert".
+    if not math.isfinite(args.datum):
+        raise ValueError(f"--datum must be a finite temperature, got {args.datum}")
+    if not args.max_rate >= 0.0:
+        raise ValueError(f"--max-rate must be a number >= 0, got {args.max_rate}")
     series_dir = Path(args.series)
     entries = formats.read_series_csv(series_dir / "series.csv")
     sessions = []

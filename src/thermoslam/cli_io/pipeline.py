@@ -33,15 +33,10 @@ KEYFRAME_ANGLE = math.radians(10.0)
 
 # A thermal frame is used only within THERMAL_WINDOW_NS of a keyframe and
 # where the per-scan motion around it changes by at most MOTION_SMOOTH_XY
-# (m) and MOTION_SMOOTH_THETA from one scan interval to the next. A wall
-# point takes the frame's reading only where its 2x2 interpolation cell
-# spans at most max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * image
-# noise) degrees C.
+# (m) and MOTION_SMOOTH_THETA from one scan interval to the next.
 THERMAL_WINDOW_NS = 250_000_000
 MOTION_SMOOTH_XY = 0.01
 MOTION_SMOOTH_THETA = math.radians(1.0)
-CELL_SPREAD_FLOOR = 0.5
-CELL_SPREAD_NOISE_FACTOR = 6.0
 
 
 @dataclass(eq=False)
@@ -49,16 +44,6 @@ class MappingResult:
     cloud: ThermalPointCloud
     trajectory: list[tuple[Timestamp, PlanarPose]]
     diagnostics: dict[str, object]
-
-
-def estimate_image_noise(image: ThermalImage) -> float:
-    """Robust per-pixel noise level from horizontal first differences.
-
-    The median absolute difference ignores the few pixels that straddle
-    scene edges, so smooth-but-warm scenes do not read as noisy.
-    """
-    d = np.diff(image.temperatures, axis=1)
-    return 1.4826 * float(np.median(np.abs(d))) / math.sqrt(2.0)
 
 
 def _pose_lerp(a: PlanarPose, b: PlanarPose, frac: float) -> PlanarPose:
@@ -123,10 +108,11 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     keeps only the keyframe scans and every scan's stamp. Loop detection
     is the last reader of the keyframes' normals and search trees, which
     are dropped before the pose-graph solve. Painting reads only odometry
-    poses, so it comes after the solve: this function owns each keyframe
-    cloud's distance grid, extrudes the keyframe, paints it with its
-    frames in session order and releases the grid (source_distance None)
-    before the next keyframe is extruded. Fusion gets temperatures only.
+    poses, so it comes after the solve. One keyframe at a time, it extrudes
+    the keyframe's cloud and paints it in place with its frames in session
+    order; the camera-distance grid that painting needs is a local of that
+    keyframe's iteration, so at most one exists. Fusion gets the painted
+    clouds, which hold temperatures only.
     """
     if not dataset.scans:
         raise ValueError("session has no scans")
@@ -193,7 +179,7 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     frames_used = 0
     frames_far = 0
     frames_unsteady = 0
-    paint: list[list[tuple[ThermalImage, RigidTransform3, float]]] = [[] for _ in kf_indices]
+    paint: list[list[tuple[ThermalImage, RigidTransform3]]] = [[] for _ in kf_indices]
     for frame in dataset.frames:
         slot = int(np.searchsorted(node_stamps, frame.stamp))
         candidates = [i for i in (slot - 1, slot) if 0 <= i < len(node_stamps)]
@@ -207,18 +193,15 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         sensor_at_frame = planar_to_rigid3(track.pose_at(frame.stamp), dataset.calib.sensor_height)
         node_lift = planar_to_rigid3(kf_poses[node], dataset.calib.sensor_height)
         camera_pose = dataset.calib.camera_extrinsic.compose(sensor_at_frame.inverse()).compose(node_lift)
-        gate = max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(frame))
-        paint[node].append((frame, camera_pose, gate))
+        paint[node].append((frame, camera_pose))
         frames_used += 1
 
-    # One keyframe at a time: extrude, paint with its frames in session
-    # order, then drop the distance grid before the next one is extruded.
     clouds: list[WallCloud] = []
     for scan, views in zip(kf_scans, paint):
         cloud = extrude_walls(scan, dataset.calib)
-        for frame, camera_pose, gate in views:
-            cloud = project_to_thermal(cloud, camera_pose, dataset.calib.intrinsics, frame, max_cell_spread=gate)
-        cloud.source_distance = None
+        distance = np.full(cloud.temperatures.shape, np.inf)
+        for frame, camera_pose in views:
+            project_to_thermal(cloud, distance, camera_pose, dataset.calib.intrinsics, frame)
         clouds.append(cloud)
 
     final_poses = solved.graph.nodes

@@ -77,10 +77,6 @@ class PlanarPose:
             raise ValueError("PlanarPose components must be finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    @classmethod
-    def identity(cls) -> "PlanarPose":
-        return cls(0.0, 0.0, 0.0)
-
     def rotation(self) -> np.ndarray:
         """2x2 rotation matrix for theta."""
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -90,9 +86,6 @@ class PlanarPose:
         """Transform an (N, 2) array of points into the parent frame."""
         pts = np.asarray(points_xy, dtype=float)
         return pts @ self.rotation().T + np.array([self.x, self.y])
-
-    def translation(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def compose(a: PlanarPose, b: PlanarPose) -> PlanarPose:

@@ -254,8 +254,8 @@ def rate_alert(record: MaturityRecord, max_rate: float) -> list[RateViolation]:
     """
     if len(record.samples) < 2:
         raise ValueError("rate check needs at least 2 samples")
-    if max_rate < 0.0:
-        raise ValueError("max_rate must be >= 0")
+    if not max_rate >= 0.0:
+        raise ValueError("max_rate must be a number >= 0")
     violations: list[RateViolation] = []
     for (t0, temp0), (t1, temp1) in zip(record.samples, record.samples[1:]):
         rate = (temp1 - temp0) / (t1 - t0)

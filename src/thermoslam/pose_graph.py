@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .core import HuberLoss, PlanarPose, compose, inverse, wrap_angles
 from .scan_frontend import ProjectedScan, match_scans
@@ -258,6 +257,9 @@ def optimize(graph: PoseGraph) -> OptimizeResult:
     (RELATIVE_TOLERANCE) or the iteration cap (MAX_ITERATIONS), and a
     non-converged run still returns its best iterate, flagged.
     """
+    # Imported on use: every command imports this module, but only `map` solves.
+    from scipy.sparse.linalg import splu
+
     if not graph.nodes:
         raise ValueError("pose graph needs node 0 as gauge anchor")
     _check_connected(graph)

@@ -1,15 +1,14 @@
 """Wall extrusion, thermal colorization and fusion.
 
 A keyframe's wall cloud is its projected 2D wall points as columns, each
-standing at every extrusion height: columns x levels, kept as (n, L) grids
-of temperatures and source distances rather than as 3D rows. Clouds are
-colored by projecting them into radiometric thermal frames through a
-pinhole camera; a point keeps the reading from the closest camera that saw
-it. The distance grid exists only for that rule: the cloud carries it while
-it is being painted, and its owner drops it (``source_distance = None``)
-once the cloud's last frame is in, so a finished cloud holds one grid.
-Fusion lifts every column into the world once and then voxel-thins the map
-one height bin at a time.
+standing at every extrusion height: columns x levels, kept as an (n, L)
+grid of temperatures rather than as 3D rows. Clouds are colored in place
+by projecting them into radiometric thermal frames through a pinhole
+camera; a point keeps the reading from the closest camera that saw it. For
+that rule the painter also updates an (n, L) grid of camera distances,
+which belongs to the caller and lives only while the caller paints that
+cloud. Fusion lifts every column into the world once and then voxel-thins
+the map one height bin at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +20,15 @@ import numpy as np
 
 from .core import PlanarPose, RigidTransform3, Timestamp, planar_to_rigid3
 from .scan_frontend import ProjectedScan
+
+# A wall point takes a frame's reading only where its 2x2 interpolation
+# cell spans at most max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR *
+# estimate_image_noise) degrees C; a wider cell straddles a depth edge.
+CELL_SPREAD_FLOOR = 0.5
+CELL_SPREAD_NOISE_FACTOR = 6.0
+
+# Edge length (m) of the voxels the fused map is thinned to.
+MAP_VOXEL_SIZE = 0.05
 
 
 @dataclass(frozen=True)
@@ -97,32 +105,24 @@ class WallCloud:
     """Extruded wall of one scan: wall columns x levels, in its sensor frame.
 
     points holds the (n, 2) wall points; each stands as a column at all L
-    heights (z relative to the sensor plane). temperatures and
-    source_distance are (n, L) grids, entry [k, l] being column k at
-    heights[l]. temperatures are NaN until a thermal frame sees the point;
-    source_distance records the point-to-camera distance of the frame that
-    set the current temperature (inf while unset). source_distance is None
-    once painting is done: the painter sets it to None after the cloud's
-    last frame, which frees that grid, and :func:`project_to_thermal`
-    refuses such a cloud.
+    heights (z relative to the sensor plane). temperatures is an (n, L)
+    grid, entry [k, l] being column k at heights[l], NaN until a thermal
+    frame sees the point.
     """
 
     points: np.ndarray
     heights: np.ndarray
     temperatures: np.ndarray
-    source_distance: np.ndarray | None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.points, dtype=float).reshape(-1, 2)
         h = np.asarray(self.heights, dtype=float).reshape(-1)
-        shape = (p.shape[0], h.size)
-        t = np.asarray(self.temperatures, dtype=float).reshape(shape)
-        d = None if self.source_distance is None else np.asarray(self.source_distance, dtype=float).reshape(shape)
+        t = np.asarray(self.temperatures, dtype=float).reshape(p.shape[0], h.size)
         if h.size == 0:
             raise ValueError("wall cloud needs at least one height")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(h))):
             raise ValueError("wall cloud points and heights must be finite")
-        self.points, self.heights, self.temperatures, self.source_distance = p, h, t, d
+        self.points, self.heights, self.temperatures = p, h, t
 
     def __len__(self) -> int:
         return self.temperatures.size
@@ -130,10 +130,6 @@ class WallCloud:
     def positions(self) -> np.ndarray:
         """The n*L wall points as (x, y, z) rows, levels inside each column."""
         return _column_rows(self.points, self.heights)
-
-    def copy(self) -> "WallCloud":
-        d = None if self.source_distance is None else self.source_distance.copy()
-        return WallCloud(self.points.copy(), self.heights.copy(), self.temperatures.copy(), d)
 
 
 @dataclass(eq=False)
@@ -204,12 +200,21 @@ def extrude_walls(scan: ProjectedScan, calib: Calibration) -> WallCloud:
     Heights run from floor level (-sensor_height below the sensor plane)
     up to floor_height - sensor_height, giving
     floor(floor_height / vertical_step) + 1 levels per column. The (x, y)
-    of every source point is kept exactly; every grid entry starts unset,
-    and the cloud carries its distance grid until its painter drops it.
+    of every source point is kept exactly, and every temperature starts
+    unset.
     """
     zs = calib.heights()
-    shape = (scan.points_xy.shape[0], zs.size)
-    return WallCloud(scan.points_xy, zs, np.full(shape, np.nan), np.full(shape, np.inf))
+    return WallCloud(scan.points_xy, zs, np.full((scan.points_xy.shape[0], zs.size), np.nan))
+
+
+def estimate_image_noise(celsius: np.ndarray) -> float:
+    """Robust per-pixel noise level of a decoded frame, from horizontal first differences.
+
+    The median absolute difference ignores the few pixels that straddle
+    scene edges, so smooth-but-warm scenes do not read as noisy.
+    """
+    d = np.diff(celsius, axis=1)
+    return 1.4826 * float(np.median(np.abs(d))) / math.sqrt(2.0)
 
 
 def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -234,56 +239,49 @@ def _cell_spread(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def project_to_thermal(
     cloud: WallCloud,
+    distance: np.ndarray,
     camera_pose: RigidTransform3,
     intrinsics: CameraIntrinsics,
     image: ThermalImage,
-    max_cell_spread: float | None = None,
-) -> WallCloud:
-    """Color wall points that fall inside one thermal frame.
+) -> None:
+    """Color, in place, the wall points that fall inside one thermal frame.
 
+    distance is the caller's (n, L) grid beside cloud.temperatures: the
+    camera distance of the frame that set each point, inf while unset.
     camera_pose maps cloud coordinates into the camera frame. A point is
     eligible when its camera-frame depth is strictly positive and its pixel
-    lands inside the image; it takes the sampled temperature only if this
-    camera is closer than whichever frame set the point before, so the
-    cloud must still carry its distance grid; a cloud whose painting is
-    done (source_distance None) raises ValueError. Returns an updated
-    copy with its own distance grid; the input cloud is untouched.
+    lands inside the image; it takes the sampled temperature, and its
+    distance entry this camera's distance, only if this camera is closer
+    than the recorded one.
 
-    max_cell_spread, when given, skips samples whose 2x2 interpolation
-    cell spans more than that many degrees: such pixels straddle a depth
-    edge, where interpolation would blend temperatures of unrelated
-    surfaces. Skipped points keep whatever an earlier frame assigned.
+    Samples whose 2x2 interpolation cell spans more than
+    max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * noise) degrees, noise
+    being estimate_image_noise of this frame, are skipped: such pixels
+    straddle a depth edge, where interpolation would blend temperatures of
+    unrelated surfaces. Skipped points keep whatever an earlier frame
+    assigned.
     """
     if image.width != intrinsics.width or image.height != intrinsics.height:
         raise ValueError("image size does not match intrinsics")
-    if cloud.source_distance is None:
-        raise ValueError("wall cloud painting is done: it has no distance grid")
-    out = cloud.copy()
-    # Row views of the (n, L) grids, in the order of cloud.positions().
-    temperatures = out.temperatures.reshape(-1)
-    source_distance = out.source_distance.reshape(-1)
+    if distance.shape != cloud.temperatures.shape:
+        raise ValueError("distance grid does not match the cloud")
     cam = camera_pose.apply(cloud.positions())
     z = cam[:, 2]
     front = z > 1e-12
-    if not np.any(front):
-        return out
     u = np.full(len(cloud), -1.0)
     v = np.full(len(cloud), -1.0)
     u[front] = intrinsics.fx * cam[front, 0] / z[front] + intrinsics.cx
     v[front] = intrinsics.fy * cam[front, 1] / z[front] + intrinsics.cy
     visible = front & (u >= 0.0) & (u <= intrinsics.width - 1.0) & (v >= 0.0) & (v <= intrinsics.height - 1.0)
-    distance = np.linalg.norm(cam, axis=1)
-    take = visible & (distance < source_distance)
-    if not np.any(take):
-        return out
+    to_camera = np.linalg.norm(cam, axis=1)
+    take = np.flatnonzero(visible & (to_camera < distance.reshape(-1)))
     celsius = image.temperatures
-    if max_cell_spread is not None:
-        clean = _cell_spread(celsius, u[take], v[take]) <= max_cell_spread
-        take[np.flatnonzero(take)[~clean]] = False
-    if np.any(take):
-        temperatures[take] = _bilinear(celsius, u[take], v[take])
-        source_distance[take] = distance[take]
-    return out
+    gate = max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(celsius))
+    take = take[_cell_spread(celsius, u[take], v[take]) <= gate]
+    # Row k * L + l of cloud.positions() is entry [k, l] of both grids.
+    entries = np.unravel_index(take, distance.shape)
+    cloud.temperatures[entries] = _bilinear(celsius, u[take], v[take])
+    distance[entries] = to_camera[take]
 
 
 def voxel_thin(positions: np.ndarray, temperatures: np.ndarray, voxel_size: float) -> tuple[np.ndarray, np.ndarray]:
@@ -326,19 +324,17 @@ def accumulate_map(
     clouds: list[WallCloud],
     poses: list[PlanarPose],
     calib: Calibration,
-    voxel_size: float | None = 0.05,
     session_stamp: Timestamp = 0,
 ) -> ThermalPointCloud:
-    """Merge per-node wall clouds into one world-frame thermal cloud.
+    """Merge per-node wall clouds into one voxel-thinned world-frame thermal cloud.
 
     Each cloud is lifted by its node pose at the scanner height, so a node
     at the identity contributes its local cloud shifted up by
     sensor_height. The clouds must share their heights. Points follow node
-    order, then column, then level. Only points, heights and temperatures
-    are read, so finished clouds (no distance grid) fuse as painted ones do.
+    order, then column, then level.
 
-    With voxel_size, positions and set temperatures are averaged per voxel
-    as voxel_thin does over all points at once: voxels in (x, y, z) index
+    Positions and set temperatures are averaged per MAP_VOXEL_SIZE voxel as
+    voxel_thin does over all points at once: voxels in (x, y, z) index
     order, members summed in point order. It runs voxel_thin on one z bin
     (the levels whose lifted height floors to one voxel index) at a time.
     Every column stands at every level, so each bin yields the same xy
@@ -348,8 +344,6 @@ def accumulate_map(
         raise ValueError("clouds and poses length mismatch")
     if not clouds:
         raise ValueError("nothing to accumulate")
-    if voxel_size is not None and voxel_size <= 0.0:
-        raise ValueError("voxel_size must be > 0")
     heights = clouds[0].heights
     if any(not np.array_equal(cloud.heights, heights) for cloud in clouds):
         raise ValueError("clouds must share their heights")
@@ -361,16 +355,13 @@ def accumulate_map(
         parts.append(cloud.points @ lift.rotation[:2, :2].T + lift.translation[:2])
     xy = np.vstack(parts)
     zs = heights + calib.sensor_height
-    if voxel_size is None:
-        temperatures = np.concatenate([cloud.temperatures.reshape(-1) for cloud in clouds])
-        return ThermalPointCloud(_column_rows(xy, zs), temperatures, session_stamp)
-    z_bins = np.floor(zs / voxel_size)
+    z_bins = np.floor(zs / MAP_VOXEL_SIZE)
     cells_p = []
     cells_t = []
     for z_bin in np.unique(z_bins):
         levels = np.flatnonzero(z_bins == z_bin)
         temperatures = np.concatenate([cloud.temperatures[:, levels].reshape(-1) for cloud in clouds])
-        pos, temps = voxel_thin(_column_rows(xy, zs[levels]), temperatures, voxel_size)
+        pos, temps = voxel_thin(_column_rows(xy, zs[levels]), temperatures, MAP_VOXEL_SIZE)
         cells_p.append(pos)
         cells_t.append(temps)
     positions = np.stack(cells_p, axis=1).reshape(-1, 3)

@@ -3,12 +3,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoslam
 from thermoslam import (
     Calibration,
     CameraIntrinsics,
@@ -58,7 +63,7 @@ from thermoslam.cli_io.formats import (
     write_pgm16,
     write_report,
 )
-from thermoslam.cli_io.pipeline import estimate_image_noise
+from thermoslam.thermal_map import estimate_image_noise
 
 
 def _small_calib(width: int = 8, height: int = 6) -> Calibration:
@@ -637,7 +642,7 @@ def test_estimate_image_noise_recovers_sigma():
     rng = np.random.default_rng(30)
     base = 20.0 + 0.01 * np.arange(80)[None, :]  # gentle ramp, not "noise"
     image = ThermalImage(0, base + 0.3 * rng.standard_normal((60, 80)))
-    sigma = estimate_image_noise(image)
+    sigma = estimate_image_noise(image.temperatures)
     assert 0.25 < sigma < 0.35
 
 
@@ -770,3 +775,40 @@ def test_cli_full_workflow(tmp_path, capsys):
         x, y, z, samples, maturity, violations = row.split(",")
         assert (float(x), float(y), float(z)) in map_points
         assert int(samples) == 2 and float(maturity) > 0.0 and int(violations) == 0
+
+
+def _one_wall_series(tmp_path, maps: int) -> Path:
+    """A series of `maps` copies of a small warm wall map, one hour apart."""
+    series = tmp_path / "series"
+    series.mkdir()
+    xs, zs = np.meshgrid(np.arange(0.0, 1.0, 0.1), np.arange(0.0, 1.0, 0.1))
+    positions = np.column_stack([xs.ravel(), np.zeros(xs.size), zs.ravel()])
+    export_ply(ThermalPointCloud(positions, np.full(xs.size, 20.0)), series / "wall.ply")
+    write_series_csv(series / "series.csv", [(float(k), "wall.ply") for k in range(maps)])
+    return series
+
+
+@pytest.mark.parametrize("maps", [1, 2])
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--datum", "nan"), ("--datum", "inf"), ("--datum", "-inf"), ("--max-rate", "nan"), ("--max-rate", "-1")],
+)
+def test_cli_maturity_rejects_bad_datum_and_rate(tmp_path, capsys, flag, value, maps):
+    # Rejected before any map is read, however many maps the series has.
+    series = _one_wall_series(tmp_path, maps)
+    out = tmp_path / "maturity.txt"
+    rc = main(["maturity", "--series", str(series), f"{flag}={value}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_import_leaves_the_sparse_solvers_unloaded():
+    # Only `map` solves a pose graph; every command imports the CLI module.
+    src = str(Path(thermoslam.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import thermoslam.cli_io.cli, sys; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

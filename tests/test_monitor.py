@@ -207,5 +207,6 @@ def test_rate_alert_validation():
     with pytest.raises(ValueError):
         rate_alert(record, max_rate=10.0)
     two = MaturityRecord(position=Vec3(0, 0, 0), samples=((0.0, 20.0), (1.0, 21.0)))
-    with pytest.raises(ValueError):
-        rate_alert(two, max_rate=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="max_rate"):
+            rate_alert(two, max_rate=bad)

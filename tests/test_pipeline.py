@@ -1,9 +1,10 @@
 """Stage order and memory of ``cli_io.pipeline.run_mapping``.
 
 The pipeline solves the pose graph before any wall cloud exists, then
-extrudes and paints one keyframe at a time and drops each cloud's distance
-grid once its frames are in. These tests watch the calls through the
-pipeline module's names, the same names the benchmark's tracer wraps.
+extrudes and paints one keyframe at a time, in place, with a distance grid
+that lives only while that keyframe is painted. These tests watch the calls
+through the pipeline module's names, the same names the benchmark's tracer
+wraps.
 """
 
 from __future__ import annotations
@@ -51,27 +52,26 @@ def test_run_mapping_solves_first_then_paints_one_keyframe_at_a_time(looped_sess
     assert names.count("extrude_walls") == diagnostics["keyframes"]
     assert names.count("project_to_thermal") == diagnostics["frames_used"] > 0
 
-    # Every frame paints the cloud that the latest extrusion or frame
+    # Every frame paints, in place, the cloud that the latest extrusion
     # returned, so each keyframe's frames come in one run; frames keep
     # session order.
-    finished = []
+    extruded = []
     stamps = []
     for name, args, result in calls:
         if name == "extrude_walls":
-            finished.append(result)
+            extruded.append(result)
         elif name == "project_to_thermal":
-            assert args[0] is finished[-1]
-            finished[-1] = result
-            stamps.append(args[3].stamp)
+            assert result is None
+            assert args[0] is extruded[-1]
+            assert args[1].shape == args[0].temperatures.shape
+            stamps.append(args[4].stamp)
     assert stamps == sorted(stamps)
 
-    # Fusion gets exactly those last clouds, in keyframe order, with their
-    # distance grids released.
+    # Fusion gets exactly the extruded clouds, in keyframe order.
     assert names[-1] == "accumulate_map"
     fused = calls[-1][1][0]
-    assert len(fused) == len(finished)
-    assert all(a is b for a, b in zip(fused, finished))
-    assert all(cloud.source_distance is None for cloud in fused)
+    assert len(fused) == len(extruded)
+    assert all(a is b for a, b in zip(fused, extruded))
 
 
 def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch):
@@ -81,7 +81,8 @@ def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch
     def counted(scan, calib):
         nonlocal grid_bytes
         cloud = extrude(scan, calib)
-        grid_bytes += cloud.temperatures.nbytes + cloud.source_distance.nbytes
+        # The cloud's temperature grid and the painting loop's distance grid.
+        grid_bytes += 2 * cloud.temperatures.nbytes
         return cloud
 
     monkeypatch.setattr(pipeline, "extrude_walls", counted)

@@ -20,7 +20,7 @@ from thermoslam import (
     project_to_thermal,
     voxel_thin,
 )
-from thermoslam.cli_io.pipeline import estimate_image_noise
+from thermoslam.thermal_map import estimate_image_noise
 from thermoslam.core import planar_to_rigid3
 from thermoslam.scan_frontend import ProjectedScan
 
@@ -41,7 +41,15 @@ def _grid_cloud(depth: float = 2.0, n: int = 9, extent: float = 0.8) -> WallClou
     """An unset wall at x = depth facing the camera of _facing: n columns x n levels."""
     ys = np.linspace(-extent, extent, n)
     pts = np.column_stack([np.full(n, depth), ys])
-    return WallCloud(pts, np.linspace(-extent, extent, n), np.full((n, n), np.nan), np.full((n, n), np.inf))
+    return WallCloud(pts, np.linspace(-extent, extent, n), np.full((n, n), np.nan))
+
+
+def _paint(cloud: WallCloud, camera_pose: RigidTransform3, image: ThermalImage, distance=None) -> np.ndarray:
+    """Paint cloud in place with one frame; returns the distance grid, new unless given."""
+    if distance is None:
+        distance = np.full(cloud.temperatures.shape, np.inf)
+    project_to_thermal(cloud, distance, camera_pose, INTRINSICS, image)
+    return distance
 
 
 def _flat_image(value: float, stamp: int = 0) -> ThermalImage:
@@ -89,9 +97,8 @@ def test_extrude_walls_replicates_xy_exactly():
     assert np.array_equal(positions[:levels, 1], np.full(levels, -0.5))
     assert np.array_equal(positions[:levels, 2], calib.heights())
     assert np.array_equal(positions[levels : 2 * levels, :2], np.tile([2.0, 3.0], (levels, 1)))
-    assert cloud.temperatures.shape == cloud.source_distance.shape == (3, levels)
+    assert cloud.temperatures.shape == (3, levels)
     assert np.isnan(cloud.temperatures).all()
-    assert np.isposinf(cloud.source_distance).all()
 
 
 # ---------------------------------------------------------------------------
@@ -100,61 +107,64 @@ def test_extrude_walls_replicates_xy_exactly():
 
 def test_project_to_thermal_colors_visible_points():
     cloud = _grid_cloud()
-    out = project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(25.0))
-    assert out.temperatures.shape == (9, 9)
-    assert np.allclose(out.temperatures, 25.0)
-    assert np.all(np.isfinite(out.source_distance))
-    # The input cloud is untouched.
-    assert np.isnan(cloud.temperatures).all()
+    distance = _paint(cloud, _facing(), _flat_image(25.0))
+    assert cloud.temperatures.shape == distance.shape == (9, 9)
+    assert np.allclose(cloud.temperatures, 25.0)
+    assert np.all(np.isfinite(distance))
 
 
 def test_project_to_thermal_skips_points_behind_camera():
     cloud = _grid_cloud(depth=-2.0)
-    out = project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(25.0))
-    assert np.isnan(out.temperatures).all()
+    distance = _paint(cloud, _facing(), _flat_image(25.0))
+    assert np.isnan(cloud.temperatures).all()
+    assert np.isposinf(distance).all()
+
+
+def _ramp_image(du: float, dv: float) -> ThermalImage:
+    """20 degC at pixel (0, 0), rising du per column and dv per row."""
+    return ThermalImage(0, 20.0 + du * np.arange(11.0)[None, :] + dv * np.arange(11.0)[:, None])
 
 
 def test_project_to_thermal_samples_expected_pixel():
-    img = np.full((11, 11), 20.0)
-    img[4, 7] = 33.0
+    # Every pixel reads its own value, and each 2x2 cell spans 1.05 degC,
+    # inside the 6.3 degC gate that the 1 degC column steps set.
+    image = _ramp_image(1.0, 0.05)
     # x such that u = fx*x/z + cx lands exactly on pixel (u=7, v=4).
     # One column at that (x, y), one level at z = 2.
     pt = np.array([[(7.0 - 5.0) * 2.0 / 10.0, (4.0 - 5.0) * 2.0 / 10.0]])
-    cloud = WallCloud(pt, [2.0], [[np.nan]], [[np.inf]])
-    out = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, ThermalImage(0, img))
-    assert out.temperatures[0, 0] == pytest.approx(33.0)
+    cloud = WallCloud(pt, [2.0], [[np.nan]])
+    _paint(cloud, RigidTransform3.identity(), image)
+    assert cloud.temperatures[0, 0] == pytest.approx(27.2)
 
 
 def test_project_to_thermal_fills_column_level_grid():
-    # Image rows run down the wall, so each level reads its own row.
-    img = np.repeat(20.0 + np.arange(11.0)[:, None], 11, axis=1)
-    cloud = WallCloud([[2.0, 0.0], [2.0, -0.4]], [-0.4, 0.0, 0.4], np.full((2, 3), np.nan), np.full((2, 3), np.inf))
-    out = project_to_thermal(cloud, _facing(), INTRINSICS, ThermalImage(0, img))
+    # Image rows run down the wall, so each level reads its own row; 0.1
+    # degC per row keeps every cell inside the clean-frame gate.
+    image = _ramp_image(0.0, 0.1)
+    cloud = WallCloud([[2.0, 0.0], [2.0, -0.4]], [-0.4, 0.0, 0.4], np.full((2, 3), np.nan))
+    distance = _paint(cloud, _facing(), image)
     # Height h lands on image row v = 5 - 5 h.
-    assert np.allclose(out.temperatures, [[27.0, 25.0, 23.0], [27.0, 25.0, 23.0]])
-    assert np.allclose(out.source_distance[0], np.hypot(2.0, [-0.4, 0.0, 0.4]))
+    assert np.allclose(cloud.temperatures, [[20.7, 20.5, 20.3], [20.7, 20.5, 20.3]])
+    assert np.allclose(distance[0], np.hypot(2.0, [-0.4, 0.0, 0.4]))
 
 
 def test_project_to_thermal_closer_camera_wins():
     # Narrow grid so every point stays in view from both camera depths.
     cloud = _grid_cloud(depth=2.0, extent=0.35)
-    far = project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(25.0))
-    both = project_to_thermal(far, _facing(-1.0), INTRINSICS, _flat_image(30.0))
-    assert np.allclose(both.temperatures, 30.0)
+    distance = _paint(cloud, _facing(), _flat_image(25.0))
+    _paint(cloud, _facing(-1.0), _flat_image(30.0), distance)
+    assert np.allclose(cloud.temperatures, 30.0)
     # A camera farther than the recorded source cannot overwrite.
-    after = project_to_thermal(both, _facing(1.0), INTRINSICS, _flat_image(35.0))
-    assert np.allclose(after.temperatures, 30.0)
+    _paint(cloud, _facing(1.0), _flat_image(35.0), distance)
+    assert np.allclose(cloud.temperatures, 30.0)
 
 
 def test_project_to_thermal_bilinear():
-    img = np.full((11, 11), 20.0)
-    img[:, 4:] = 30.0
-    # u = 3.5: halfway between a 20-column and a 30-column.
-    pt = np.array([[(3.5 - 5.0) * 2.0 / 10.0, 0.0]])
-    cloud = WallCloud(pt, [2.0], [[np.nan]], [[np.inf]])
-    image = ThermalImage(0, img)
-    soft = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image)
-    assert soft.temperatures[0, 0] == pytest.approx(25.0)
+    # (u, v) = (3.5, 5.5): the middle of a cell of a linear ramp.
+    pt = np.array([[(3.5 - 5.0) * 2.0 / 10.0, (5.5 - 5.0) * 2.0 / 10.0]])
+    cloud = WallCloud(pt, [2.0], [[np.nan]])
+    _paint(cloud, RigidTransform3.identity(), _ramp_image(1.0, 0.5))
+    assert cloud.temperatures[0, 0] == pytest.approx(20.0 + 3.5 + 0.5 * 5.5)
 
 
 def test_project_to_thermal_cell_spread_gate():
@@ -167,25 +177,35 @@ def test_project_to_thermal_cell_spread_gate():
             [(2.0 - 5.0) * 2.0 / 10.0, 0.0],  # clean interior pixel
         ]
     )
-    cloud = WallCloud(pts, [2.0], np.full((2, 1), np.nan), np.full((2, 1), np.inf))
-    gated = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image, max_cell_spread=10.0)
-    assert np.isnan(gated.temperatures[0, 0])
-    assert gated.temperatures[1, 0] == pytest.approx(20.0)
-    ungated = project_to_thermal(cloud, RigidTransform3.identity(), INTRINSICS, image)
-    assert np.isfinite(ungated.temperatures).all()
+    cloud = WallCloud(pts, [2.0], np.full((2, 1), np.nan))
+    distance = _paint(cloud, RigidTransform3.identity(), image)
+    assert np.isnan(cloud.temperatures[0, 0]) and np.isposinf(distance[0, 0])
+    assert cloud.temperatures[1, 0] == pytest.approx(20.0)
+
+
+def test_project_to_thermal_gate_comes_from_the_frame():
+    # The sample's cell holds 20 | 22 degC on both frames. On the clean
+    # frame the gate is CELL_SPREAD_FLOOR and the 2 degC cell is skipped;
+    # the noisy frame (sigma 1 degC) widens the gate past it.
+    clean = np.full((11, 11), 20.0)
+    clean[:, 6:] = 22.0
+    noisy = clean + np.random.default_rng(4).normal(0.0, 1.0, clean.shape)
+    noisy[5:7, 5:7] = clean[5:7, 5:7]
+    assert estimate_image_noise(clean) == 0.0
+    assert thermal_map.CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(noisy) > 2.0
+    pt = np.array([[(5.5 - 5.0) * 2.0 / 10.0, 0.0]])  # (u, v) = (5.5, 5)
+    for pixels, expected in ((clean, np.nan), (noisy, 21.0)):
+        cloud = WallCloud(pt, [2.0], [[np.nan]])
+        _paint(cloud, RigidTransform3.identity(), ThermalImage(0, pixels))
+        assert np.array_equal(cloud.temperatures, [[expected]], equal_nan=True)
 
 
 def test_project_to_thermal_rejects_size_mismatch():
     image = ThermalImage(0, np.full((5, 5), 20.0))
-    with pytest.raises(ValueError):
-        project_to_thermal(_grid_cloud(), _facing(), INTRINSICS, image)
-
-
-def test_project_to_thermal_refuses_a_finished_cloud():
-    cloud = project_to_thermal(_grid_cloud(), _facing(), INTRINSICS, _flat_image(25.0))
-    cloud.source_distance = None
-    with pytest.raises(ValueError, match="painting is done"):
-        project_to_thermal(cloud, _facing(), INTRINSICS, _flat_image(30.0))
+    with pytest.raises(ValueError, match="intrinsics"):
+        _paint(_grid_cloud(), _facing(), image)
+    with pytest.raises(ValueError, match="distance grid"):
+        project_to_thermal(_grid_cloud(), np.full((9, 8), np.inf), _facing(), INTRINSICS, _flat_image(25.0))
 
 
 def test_thermal_image_validation():
@@ -211,18 +231,13 @@ def test_counts_and_decoded_floats_give_the_same_bits():
         counts = rng.integers(11500, 13500, (11, 11)).astype(np.uint16)  # 15..35 degC
         frame = ThermalImage(7, counts, 0.01, -100.0)
         floats = ThermalImage(7, frame.temperatures)
-        assert estimate_image_noise(frame) == estimate_image_noise(floats)
         pose = _facing(rng.uniform(-0.5, 0.5))
-        for gate in (None, 12.0):
-            from_counts = project_to_thermal(_grid_cloud(), pose, INTRINSICS, frame, max_cell_spread=gate)
-            from_floats = project_to_thermal(_grid_cloud(), pose, INTRINSICS, floats, max_cell_spread=gate)
-            assert np.array_equal(from_counts.temperatures, from_floats.temperatures, equal_nan=True)
-            assert np.array_equal(from_counts.source_distance, from_floats.source_distance)
-            set_points = np.count_nonzero(np.isfinite(from_counts.temperatures))
-            if gate is None:
-                assert set_points == 81
-            else:
-                assert 0 < set_points < 81
+        from_counts, from_floats = _grid_cloud(), _grid_cloud()
+        counts_distance = _paint(from_counts, pose, frame)
+        floats_distance = _paint(from_floats, pose, floats)
+        assert np.array_equal(from_counts.temperatures, from_floats.temperatures, equal_nan=True)
+        assert np.array_equal(counts_distance, floats_distance)
+        assert np.isfinite(from_counts.temperatures).any()
 
 
 def test_camera_intrinsics_validation():
@@ -236,23 +251,13 @@ def test_camera_intrinsics_validation():
 # Cloud containers.
 
 
-def test_wall_cloud_copy():
-    cloud = WallCloud([[0.0, 0.0], [1.0, 0.0]], [0.0], [[np.nan], [21.5]], [[np.inf], [2.0]])
-    dup = cloud.copy()
-    dup.temperatures[1, 0] = 99.0
-    assert cloud.temperatures[1, 0] == 21.5
-    # A finished cloud has no distance grid, and neither has its copy.
-    finished = WallCloud(cloud.points, cloud.heights, cloud.temperatures, None)
-    assert finished.copy().source_distance is None
-
-
 def test_wall_cloud_validation():
     with pytest.raises(ValueError, match="height"):
-        WallCloud([[1.0, 0.0]], [], np.empty((1, 0)), np.empty((1, 0)))
+        WallCloud([[1.0, 0.0]], [], np.empty((1, 0)))
     with pytest.raises(ValueError, match="finite"):
-        WallCloud([[np.nan, 0.0]], [0.0], [[20.0]], [[1.0]])
+        WallCloud([[np.nan, 0.0]], [0.0], [[20.0]])
     with pytest.raises(ValueError):
-        WallCloud([[1.0, 0.0]], [0.0, 1.0], [[20.0]], [[1.0]])
+        WallCloud([[1.0, 0.0]], [0.0, 1.0], [[20.0]])
 
 
 def test_thermal_point_cloud_drop_unset():
@@ -361,23 +366,21 @@ def test_accumulate_map_calls_voxel_thin_through_module(monkeypatch):
     calib = _calib(vertical_step=1.0)
     levels = calib.heights().size
     grid = np.full((2, levels), 20.0)
-    cloud = WallCloud([[1.0, 0.0], [1.01, 0.0]], calib.heights(), grid, np.ones_like(grid))
-    out = accumulate_map([cloud], [PlanarPose()], calib, voxel_size=0.05)
+    cloud = WallCloud([[1.0, 0.0], [1.01, 0.0]], calib.heights(), grid)
+    out = accumulate_map([cloud], [PlanarPose()], calib)
     # One call per z bin; each bin holds both columns, which share one voxel.
     assert calls == [2] * levels
     assert out.positions.shape == (levels, 3)
-    accumulate_map([cloud], [PlanarPose()], calib, voxel_size=None)
-    assert calls == [2] * levels
     # Levels closer than a voxel share a z bin, so one call serves both.
-    close = WallCloud([[1.0, 0.0], [1.01, 0.0]], [0.02, 0.03], grid[:, :2], grid[:, :2])
-    accumulate_map([close], [PlanarPose()], calib, voxel_size=0.05)
+    close = WallCloud([[1.0, 0.0], [1.01, 0.0]], [0.02, 0.03], grid[:, :2])
+    accumulate_map([close], [PlanarPose()], calib)
     assert calls == [2] * levels + [4]
 
 
 def test_accumulate_map_lifts_by_sensor_height():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0]], [-0.6, 0.4], [[20.0, 21.0]], [[1.0, 1.0]])
-    out = accumulate_map([cloud], [PlanarPose()], calib, voxel_size=None, session_stamp=5)
+    cloud = WallCloud([[1.0, 0.0]], [-0.6, 0.4], [[20.0, 21.0]])
+    out = accumulate_map([cloud], [PlanarPose()], calib, session_stamp=5)
     assert out.session_stamp == 5
     # Identity node: floor-level points land at world z = 0.
     assert np.allclose(out.positions[:, 2], [0.0, 1.0])
@@ -386,36 +389,20 @@ def test_accumulate_map_lifts_by_sensor_height():
 
 def test_accumulate_map_applies_node_poses():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]], [[1.0]])
+    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]])
     pose = PlanarPose(2.0, 1.0, math.pi / 2.0)
-    out = accumulate_map([cloud], [pose], calib, voxel_size=None)
+    out = accumulate_map([cloud], [pose], calib)
     assert np.allclose(out.positions[0], [2.0, 2.0, 0.6], atol=1e-12)
-
-
-@pytest.mark.parametrize("voxel_size", [None, 0.05])
-def test_accumulate_map_reads_no_distance_grid(voxel_size):
-    calib = _calib(vertical_step=0.5)
-    shape = (2, calib.heights().size)
-    painting = WallCloud([[1.0, 0.0], [1.2, 0.3]], calib.heights(), np.full(shape, 20.0), np.ones(shape))
-    painting.temperatures[1, ::2] = np.nan
-    finished = WallCloud(painting.points, painting.heights, painting.temperatures, None)
-    pose = PlanarPose(0.3, -0.2, 0.4)
-    a = accumulate_map([painting], [pose], calib, voxel_size=voxel_size)
-    b = accumulate_map([finished], [pose], calib, voxel_size=voxel_size)
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.temperatures, b.temperatures, equal_nan=True)
 
 
 def test_accumulate_map_validation():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]], [[1.0]])
+    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]])
     with pytest.raises(ValueError):
         accumulate_map([cloud], [], calib)
     with pytest.raises(ValueError):
         accumulate_map([], [], calib)
-    with pytest.raises(ValueError):
-        accumulate_map([cloud], [PlanarPose()], calib, voxel_size=0.0)
-    other = WallCloud([[1.0, 0.0]], [0.5], [[20.0]], [[1.0]])
+    other = WallCloud([[1.0, 0.0]], [0.5], [[20.0]])
     with pytest.raises(ValueError, match="heights"):
         accumulate_map([cloud, other], [PlanarPose(), PlanarPose()], calib)
 
@@ -439,14 +426,10 @@ def _extrude_rows(points_xy, calib):
 def _accumulate_rows(rows, temperatures, poses, calib, voxel_size):
     """Reference: lift every row, stack all clouds, thin them in one call."""
     lifted = [planar_to_rigid3(pose, calib.sensor_height).apply(p) for p, pose in zip(rows, poses)]
-    positions = np.vstack(lifted)
-    temps = np.concatenate(temperatures)
-    if voxel_size is not None:
-        positions, temps = voxel_thin(positions, temps, voxel_size)
-    return positions, temps
+    return voxel_thin(np.vstack(lifted), np.concatenate(temperatures), voxel_size)
 
 
-def _project_rows(positions, temperatures, source_distance, camera_pose, image, max_cell_spread):
+def _project_rows(positions, temperatures, source_distance, camera_pose, image):
     """Reference: project_to_thermal on (x, y, z) rows, in place."""
     cam = camera_pose.apply(positions)
     z = cam[:, 2]
@@ -458,8 +441,11 @@ def _project_rows(positions, temperatures, source_distance, camera_pose, image, 
     visible = front & (u >= 0.0) & (u <= INTRINSICS.width - 1.0) & (v >= 0.0) & (v <= INTRINSICS.height - 1.0)
     distance = np.linalg.norm(cam, axis=1)
     take = visible & (distance < source_distance)
-    if max_cell_spread is not None and np.any(take):
-        clean = thermal_map._cell_spread(image.temperatures, u[take], v[take]) <= max_cell_spread
+    gate = max(
+        thermal_map.CELL_SPREAD_FLOOR, thermal_map.CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(image.temperatures)
+    )
+    if np.any(take):
+        clean = thermal_map._cell_spread(image.temperatures, u[take], v[take]) <= gate
         take[np.flatnonzero(take)[~clean]] = False
     temperatures[take] = thermal_map._bilinear(image.temperatures, u[take], v[take])
     source_distance[take] = distance[take]
@@ -488,11 +474,11 @@ def _random_scans(rng, count):
         (0.6, 0.05, 0.05),  # step equal to the voxel
         (0.6, 0.02, 0.05),  # step below the voxel: several levels per z bin
         (0.5, 0.25, 0.25),  # every lifted level sits exactly on a voxel face
-        (0.6, 0.1, None),  # no thinning
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_column_fusion_matches_rows_bit_for_bit(sensor_height, vertical_step, voxel_size, seed):
+def test_column_fusion_matches_rows_bit_for_bit(sensor_height, vertical_step, voxel_size, seed, monkeypatch):
+    monkeypatch.setattr(thermal_map, "MAP_VOXEL_SIZE", voxel_size)
     rng = np.random.default_rng(seed)
     calib = _calib(sensor_height=sensor_height, floor_height=1.0, vertical_step=vertical_step)
     scans = _random_scans(rng, 12)
@@ -504,36 +490,44 @@ def test_column_fusion_matches_rows_bit_for_bit(sensor_height, vertical_step, vo
     rows = [_extrude_rows(scan.points_xy, calib) for scan in scans]
     for cloud, row in zip(clouds, rows):
         assert np.array_equal(cloud.positions(), row)
-    out = accumulate_map(clouds, poses, calib, voxel_size=voxel_size)
+    out = accumulate_map(clouds, poses, calib)
     ref_p, ref_t = _accumulate_rows(rows, [c.temperatures.reshape(-1) for c in clouds], poses, calib, voxel_size)
-    if voxel_size is not None:
-        assert 1 < len(out) < sum(len(c) for c in clouds)
+    assert 1 < len(out) < sum(len(c) for c in clouds)
     assert np.array_equal(out.positions, ref_p)
     assert np.array_equal(out.temperatures, ref_t, equal_nan=True)
 
 
-@pytest.mark.parametrize("gate", [None, 4.0])
+# noise: None paints clean frames, whose gate is CELL_SPREAD_FLOOR; 4.0 adds
+# 4 degC noise, which widens each frame's gate in proportion.
+@pytest.mark.parametrize("noise", [None, 4.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_column_projection_matches_rows_bit_for_bit(gate, seed):
+def test_column_projection_matches_rows_bit_for_bit(noise, seed):
     rng = np.random.default_rng(seed)
     calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.1)
     scan = ProjectedScan(0, rng.uniform([0.5, -2.0], [4.0, 2.0], (60, 2)))
     cloud = extrude_walls(scan, calib)
+    distance = np.full(cloud.temperatures.shape, np.inf)
     rows = _extrude_rows(scan.points_xy, calib)
     temps = cloud.temperatures.reshape(-1).copy()
-    dists = cloud.source_distance.reshape(-1).copy()
+    dists = distance.reshape(-1).copy()
     for _ in range(4):
         # Cameras near the scanner, looking roughly along +x.
         yaw = rng.uniform(-0.4, 0.4)
         facing = RigidTransform3(FACING, np.zeros(3)).compose(
             RigidTransform3(planar_to_rigid3(PlanarPose(theta=-yaw)).rotation, rng.uniform(-0.5, 0.5, 3))
         )
-        image = ThermalImage(0, rng.uniform(15.0, 30.0, (11, 11)))
-        cloud = project_to_thermal(cloud, facing, INTRINSICS, image, max_cell_spread=gate)
-        _project_rows(rows, temps, dists, facing, image, gate)
+        # A gentle ramp with a 30 degC step at a random column: cells on the
+        # step exceed either gate, the others pass the clean frames' gate.
+        pixels = np.tile(20.0 + 0.05 * np.arange(11.0), (11, 1))
+        pixels[:, rng.integers(2, 10) :] += 30.0
+        if noise is not None:
+            pixels += rng.normal(0.0, noise, pixels.shape)
+        image = ThermalImage(0, pixels)
+        project_to_thermal(cloud, distance, facing, INTRINSICS, image)
+        _project_rows(rows, temps, dists, facing, image)
     assert np.isfinite(temps).any() and np.isnan(temps).any()
     assert np.array_equal(cloud.temperatures.reshape(-1), temps, equal_nan=True)
-    assert np.array_equal(cloud.source_distance.reshape(-1), dists)
+    assert np.array_equal(distance.reshape(-1), dists)
 
 
 def test_accumulate_map_peak_memory_scales_with_one_height_bin():
@@ -559,7 +553,7 @@ def test_accumulate_map_peak_memory_scales_with_one_height_bin():
     grid_bytes = sum(cloud.temperatures.nbytes for cloud in clouds)
     tracemalloc.start()
     try:
-        out = accumulate_map(clouds, poses, calib, voxel_size=0.05)
+        out = accumulate_map(clouds, poses, calib)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
