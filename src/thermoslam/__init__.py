@@ -36,6 +36,7 @@ from .thermal_map import (
     CameraIntrinsics,
     ThermalImage,
     ThermalPointCloud,
+    VoxelSums,
     WallCloud,
     accumulate_map,
     extrude_walls,

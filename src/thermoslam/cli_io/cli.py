@@ -34,7 +34,7 @@ from ..sim import (
     field_from_config,
     simulate_session,
 )
-from ..thermal_map import voxel_thin
+from .. import thermal_map
 from . import formats
 from .pipeline import run_mapping
 
@@ -206,7 +206,7 @@ def _cmd_maturity(args: argparse.Namespace) -> int:
         sessions.append((time_h, cloud))
 
     first_cloud = sessions[0][1]
-    centers, _ = voxel_thin(first_cloud.positions, first_cloud.temperatures, MATURITY_THIN_VOXEL)
+    centers, _ = thermal_map.voxel_thin(first_cloud.positions, first_cloud.temperatures, MATURITY_THIN_VOXEL)
     # Snap the voxel centroids onto real map points: a centroid can sit
     # farther than the match radius from every point that produced it, so
     # monitoring the centroid itself would track nothing.

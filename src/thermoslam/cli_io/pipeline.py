@@ -23,7 +23,7 @@ from ..scan_frontend import (
     match_scans,
 )
 from ..sim import SessionDataset, trajectory_ate
-from ..thermal_map import ThermalImage, ThermalPointCloud, WallCloud, accumulate_map, extrude_walls, project_to_thermal
+from ..thermal_map import ThermalImage, ThermalPointCloud, VoxelSums, accumulate_map, extrude_walls, project_to_thermal
 
 
 # A scan becomes a keyframe once it is KEYFRAME_DISTANCE (m) or
@@ -109,10 +109,11 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     is the last reader of the keyframes' normals and search trees, which
     are dropped before the pose-graph solve. Painting reads only odometry
     poses, so it comes after the solve. One keyframe at a time, it extrudes
-    the keyframe's cloud and paints it in place with its frames in session
-    order; the camera-distance grid that painting needs is a local of that
-    keyframe's iteration, so at most one exists. Fusion gets the painted
-    clouds, which hold temperatures only.
+    the keyframe's cloud, paints it in place with its frames in session
+    order, and folds it at its solved pose into the map's running voxel
+    sums; the cloud and the camera-distance grid that painting needs are
+    dropped before the next keyframe is extruded, so at most one of each
+    exists. The finished sums are the map.
     """
     if not dataset.scans:
         raise ValueError("session has no scans")
@@ -196,17 +197,17 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         paint[node].append((frame, camera_pose))
         frames_used += 1
 
-    clouds: list[WallCloud] = []
-    for scan, views in zip(kf_scans, paint):
+    final_poses = solved.graph.nodes
+    fused = VoxelSums(dataset.calib)
+    for scan, views, pose in zip(kf_scans, paint, final_poses):
         cloud = extrude_walls(scan, dataset.calib)
         distance = np.full(cloud.temperatures.shape, np.inf)
         for frame, camera_pose in views:
             project_to_thermal(cloud, distance, camera_pose, dataset.calib.intrinsics, frame)
-        clouds.append(cloud)
+        accumulate_map(fused, cloud, pose)
+        del cloud, distance
 
-    final_poses = solved.graph.nodes
-    session_stamp = dataset.scans[0].stamp
-    cloud = accumulate_map(clouds, final_poses, dataset.calib, session_stamp=session_stamp)
+    cloud = fused.finish(session_stamp=dataset.scans[0].stamp)
     trajectory = [(int(node_stamps[n]), final_poses[n]) for n in range(len(final_poses))]
 
     diagnostics: dict[str, object] = {

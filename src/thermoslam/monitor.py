@@ -15,7 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import RigidTransform3, Vec3, fit_rigid_2d, rotation_about_z, wrap_angle
-from .thermal_map import ThermalPointCloud, voxel_thin
+from . import thermal_map
+from .thermal_map import ThermalPointCloud
 
 __all__ = [
     "AlignmentError",
@@ -58,13 +59,20 @@ class MaturityRecord:
 
     samples are (time in hours, surface temperature in degC) in strictly
     increasing time order; maturity is the Nurse-Saul integral
-    sum(max(0, T_avg - datum) * dt) over consecutive sample pairs.
+    sum(max(0, T_avg - datum) * dt) over consecutive sample pairs. A
+    datum_temperature that is not finite raises ValueError.
     """
 
     position: Vec3
     samples: tuple[tuple[float, float], ...] = ()
     maturity: float = 0.0
     datum_temperature: float = -10.0
+
+    def __post_init__(self) -> None:
+        # With a NaN or +inf datum every gain max(0.0, T_avg - datum) is
+        # 0.0, with -inf it is inf: either way without complaint.
+        if not math.isfinite(self.datum_temperature):
+            raise ValueError(f"datum temperature must be finite, got {self.datum_temperature}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,9 @@ def icp_align(
     )
 
     if coarse_voxel > 0.0:
-        ref_coarse, _ = voxel_thin(reference.positions, reference.temperatures, coarse_voxel)
-        mov_coarse, _ = voxel_thin(moving.positions, moving.temperatures, coarse_voxel)
+        # Through the module, so a wrapper on thermal_map.voxel_thin sees these calls.
+        ref_coarse, _ = thermal_map.voxel_thin(reference.positions, reference.temperatures, coarse_voxel)
+        mov_coarse, _ = thermal_map.voxel_thin(moving.positions, moving.temperatures, coarse_voxel)
         if ref_coarse.shape[0] >= 10 and mov_coarse.shape[0] >= 10:
             start, _, _ = _icp_stage(mov_coarse, ref_coarse, start, max_iterations)
 

@@ -7,8 +7,9 @@ by projecting them into radiometric thermal frames through a pinhole
 camera; a point keeps the reading from the closest camera that saw it. For
 that rule the painter also updates an (n, L) grid of camera distances,
 which belongs to the caller and lives only while the caller paints that
-cloud. Fusion lifts every column into the world once and then voxel-thins
-the map one height bin at a time.
+cloud. Fusion folds each painted cloud, at its node pose, into running
+per-voxel sums (VoxelSums) as soon as it is painted, so no cloud has to
+outlive its painting; the finished sums divide into the voxel-thinned map.
 """
 
 from __future__ import annotations
@@ -315,54 +316,100 @@ def voxel_thin(positions: np.ndarray, temperatures: np.ndarray, voxel_size: floa
     has_t = np.isfinite(temperatures)
     t_counts = np.bincount(inv[has_t], minlength=k).astype(float)
     t_sums = np.bincount(inv[has_t], weights=temperatures[has_t], minlength=k)
+    return pos, _set_mean(t_sums, t_counts)
+
+
+def _set_mean(t_sums: np.ndarray, t_counts: np.ndarray) -> np.ndarray:
+    """Mean set temperature per voxel, NaN where no member is set."""
     with np.errstate(invalid="ignore"):
-        temps = np.where(t_counts > 0, t_sums / np.maximum(t_counts, 1.0), np.nan)
-    return pos, temps
+        return np.where(t_counts > 0, t_sums / np.maximum(t_counts, 1.0), np.nan)
 
 
-def accumulate_map(
-    clouds: list[WallCloud],
-    poses: list[PlanarPose],
-    calib: Calibration,
-    session_stamp: Timestamp = 0,
-) -> ThermalPointCloud:
-    """Merge per-node wall clouds into one voxel-thinned world-frame thermal cloud.
+class VoxelSums:
+    """Running per-voxel sums of a fused map: accumulate_map adds to them, finish divides.
 
-    Each cloud is lifted by its node pose at the scanner height, so a node
-    at the identity contributes its local cloud shifted up by
-    sensor_height. The clouds must share their heights. Points follow node
-    order, then column, then level.
-
-    Positions and set temperatures are averaged per MAP_VOXEL_SIZE voxel as
-    voxel_thin does over all points at once: voxels in (x, y, z) index
-    order, members summed in point order. It runs voxel_thin on one z bin
-    (the levels whose lifted height floors to one voxel index) at a time.
-    Every column stands at every level, so each bin yields the same xy
-    cells, and the bins' results interleave cell by cell.
+    Every column stands at every level, so a voxel is an xy cell (a column's
+    floor(xy / MAP_VOXEL_SIZE)) times a z bin (the calibration's levels,
+    lifted by sensor_height, whose heights floor to one voxel index). Each
+    xy cell has a slot, opened when a cloud first reaches it. Per slot the
+    sums count the columns that reached it; per slot and z bin they hold
+    the x, y and z sums of the member points, the sum of their set
+    temperatures and how many are set.
     """
-    if len(clouds) != len(poses):
-        raise ValueError("clouds and poses length mismatch")
-    if not clouds:
-        raise ValueError("nothing to accumulate")
-    heights = clouds[0].heights
-    if any(not np.array_equal(cloud.heights, heights) for cloud in clouds):
-        raise ValueError("clouds must share their heights")
-    parts = []
-    for cloud, pose in zip(clouds, poses):
-        lift = planar_to_rigid3(pose, calib.sensor_height)
-        # A column's xy only meets the rotation's xy block, and its lifted z
-        # is height + sensor_height at every level.
-        parts.append(cloud.points @ lift.rotation[:2, :2].T + lift.translation[:2])
-    xy = np.vstack(parts)
-    zs = heights + calib.sensor_height
-    z_bins = np.floor(zs / MAP_VOXEL_SIZE)
-    cells_p = []
-    cells_t = []
-    for z_bin in np.unique(z_bins):
-        levels = np.flatnonzero(z_bins == z_bin)
-        temperatures = np.concatenate([cloud.temperatures[:, levels].reshape(-1) for cloud in clouds])
-        pos, temps = voxel_thin(_column_rows(xy, zs[levels]), temperatures, MAP_VOXEL_SIZE)
-        cells_p.append(pos)
-        cells_t.append(temps)
-    positions = np.stack(cells_p, axis=1).reshape(-1, 3)
-    return ThermalPointCloud(positions, np.stack(cells_t, axis=1).reshape(-1), session_stamp)
+
+    def __init__(self, calib: Calibration) -> None:
+        self.heights = calib.heights()
+        self.zs = self.heights + calib.sensor_height
+        _, self.bin_of_level = np.unique(np.floor(self.zs / MAP_VOXEL_SIZE), return_inverse=True)
+        self.levels_per_bin = np.bincount(self.bin_of_level)
+        self.slots: dict[tuple[int, int], int] = {}
+        self.columns = np.zeros(0, dtype=np.int64)
+        # Rows x, y, z and set temperature; entry slot * bins + bin.
+        self.sums = np.zeros((4, 0))
+        self.set_counts = np.zeros(0, dtype=np.int64)
+
+    def slots_of(self, cells: np.ndarray) -> np.ndarray:
+        """Slot of each (x, y) cell index row, opening slots for new cells."""
+        # One dict lookup per distinct cell: a 16-byte void view of each row
+        # lets a 1D np.unique group them.
+        distinct, inverse = np.unique(cells.view(np.dtype((np.void, 16))).ravel(), return_inverse=True)
+        keys = map(tuple, distinct.view(np.int64).reshape(-1, 2).tolist())
+        slots = np.array([self.slots.setdefault(key, len(self.slots)) for key in keys], dtype=np.int64)
+        if len(self.slots) > self.columns.size:
+            grow = max(len(self.slots), 2 * self.columns.size) - self.columns.size
+            bins = self.levels_per_bin.size
+            self.columns = np.concatenate([self.columns, np.zeros(grow, dtype=np.int64)])
+            self.sums = np.concatenate([self.sums, np.zeros((4, grow * bins))], axis=1)
+            self.set_counts = np.concatenate([self.set_counts, np.zeros(grow * bins, dtype=np.int64)])
+        return slots[inverse]
+
+    def finish(self, session_stamp: Timestamp = 0) -> ThermalPointCloud:
+        """The fused map: voxels in (x, y, z) index order, averaged as voxel_thin does.
+
+        Voxel position is the mean of its member positions; voxel
+        temperature is the mean of member temperatures that are set, NaN if
+        none are.
+        """
+        cells = np.array(list(self.slots), dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((cells[:, 1], cells[:, 0]))
+        k, bins = order.size, self.levels_per_bin.size
+        sums = self.sums[:, : k * bins].reshape(4, k, bins)
+        counts = (self.columns[order, None] * self.levels_per_bin).astype(float)
+        positions = np.empty((k, bins, 3))
+        for axis in range(3):
+            positions[:, :, axis] = sums[axis, order] / counts
+        temps = _set_mean(sums[3, order], self.set_counts[: k * bins].reshape(k, bins)[order].astype(float))
+        return ThermalPointCloud(positions.reshape(-1, 3), temps.reshape(-1), session_stamp)
+
+
+def accumulate_map(sums: VoxelSums, cloud: WallCloud, pose: PlanarPose) -> None:
+    """Fold one painted keyframe cloud, at its node pose, into a map's running voxel sums.
+
+    The cloud is lifted by its node pose at the scanner height, so a node
+    at the identity contributes its local cloud shifted up by
+    sensor_height. The cloud must have the calibration's heights.
+
+    Each voxel's members are added one at a time, in point order (cloud,
+    then column, then level), to sums that start at 0.0: the order in
+    which voxel_thin sums them. So the finished map equals voxel_thin of
+    every lifted point at MAP_VOXEL_SIZE, bit for bit, while only the
+    cloud being folded has per-point arrays.
+    """
+    if not np.array_equal(cloud.heights, sums.heights):
+        raise ValueError("cloud heights differ from the calibration's")
+    lift = planar_to_rigid3(pose)
+    # A column's xy only meets the rotation's xy block, and its lifted z
+    # is height + sensor_height at every level.
+    xy = cloud.points @ lift.rotation[:2, :2].T + lift.translation[:2]
+    slots = sums.slots_of(np.floor(xy / MAP_VOXEL_SIZE).astype(np.int64))
+    np.add.at(sums.columns, slots, 1)
+    # Entry [k, l] is column k at level l, raveled in the grid's row-major order.
+    voxel = (slots[:, None] * sums.levels_per_bin.size + sums.bin_of_level).reshape(-1)
+    levels = sums.zs.size
+    np.add.at(sums.sums[0], voxel, np.repeat(xy[:, 0], levels))
+    np.add.at(sums.sums[1], voxel, np.repeat(xy[:, 1], levels))
+    np.add.at(sums.sums[2], voxel, np.tile(sums.zs, xy.shape[0]))
+    temperatures = cloud.temperatures.reshape(-1)
+    has_t = np.isfinite(temperatures)
+    np.add.at(sums.sums[3], voxel[has_t], temperatures[has_t])
+    np.add.at(sums.set_counts, voxel[has_t], 1)

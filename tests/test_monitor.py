@@ -19,6 +19,7 @@ from thermoslam import (
     temperature_delta,
     transform_cloud,
 )
+import thermoslam.thermal_map as thermal_map
 from thermoslam.monitor import AlignmentError
 
 
@@ -91,6 +92,22 @@ def test_icp_align_raises_when_residual_exceeds_limit():
     )
     with pytest.raises(AlignmentError):
         icp_align(reference, moving, max_rms=1e-4)
+
+
+def test_icp_align_coarse_stage_thins_through_thermal_map(monkeypatch):
+    # The benchmark's tracer times thinning by wrapping thermal_map.voxel_thin.
+    calls = []
+    original = thermal_map.voxel_thin
+
+    def counting(positions, temperatures, voxel_size):
+        calls.append((positions.shape[0], voxel_size))
+        return original(positions, temperatures, voxel_size)
+
+    monkeypatch.setattr(thermal_map, "voxel_thin", counting)
+    reference = _box_cloud()
+    moving = transform_cloud(reference, planar_to_rigid3(PlanarPose(0.05, -0.03, 0.02)))
+    icp_align(reference, moving, coarse_voxel=0.25)
+    assert calls == [(len(reference), 0.25), (len(moving), 0.25)]
 
 
 def test_icp_align_needs_enough_points():
@@ -178,6 +195,13 @@ def test_accumulate_maturity_requires_advancing_finite_samples():
         accumulate_maturity(record, (1.0, 21.0))
     with pytest.raises(ValueError):
         accumulate_maturity(record, (2.0, math.nan))
+
+
+@pytest.mark.parametrize("datum", [math.nan, math.inf, -math.inf])
+def test_maturity_record_rejects_non_finite_datum(datum):
+    # Each would turn every gain max(0.0, T_avg - datum) into 0.0 or inf.
+    with pytest.raises(ValueError, match="datum"):
+        MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=datum)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The pipeline solves the pose graph before any wall cloud exists, then
 extrudes and paints one keyframe at a time, in place, with a distance grid
-that lives only while that keyframe is painted. These tests watch the calls
+that lives only while that keyframe is painted, and folds the painted
+cloud into the map before the next keyframe is extruded. These tests watch the calls
 through the pipeline module's names, the same names the benchmark's tracer
 wraps.
 """
@@ -54,24 +55,31 @@ def test_run_mapping_solves_first_then_paints_one_keyframe_at_a_time(looped_sess
 
     # Every frame paints, in place, the cloud that the latest extrusion
     # returned, so each keyframe's frames come in one run; frames keep
-    # session order.
+    # session order. Each cloud is folded into the map exactly once, after
+    # its last frame and before the next extrusion, at its solved pose.
+    solved = calls[names.index("optimize")][2].graph.nodes
     extruded = []
+    folded = []
     stamps = []
     for name, args, result in calls:
         if name == "extrude_walls":
+            assert len(folded) == len(extruded)
             extruded.append(result)
         elif name == "project_to_thermal":
             assert result is None
+            assert len(folded) == len(extruded) - 1
             assert args[0] is extruded[-1]
             assert args[1].shape == args[0].temperatures.shape
             stamps.append(args[4].stamp)
+        elif name == "accumulate_map":
+            assert result is None
+            assert args[0] is calls[-1][1][0]
+            assert args[1] is extruded[-1]
+            assert args[2] is solved[len(folded)]
+            folded.append(args[1])
     assert stamps == sorted(stamps)
-
-    # Fusion gets exactly the extruded clouds, in keyframe order.
     assert names[-1] == "accumulate_map"
-    fused = calls[-1][1][0]
-    assert len(fused) == len(extruded)
-    assert all(a is b for a, b in zip(fused, extruded))
+    assert len(folded) == len(extruded)
 
 
 def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch):
@@ -93,9 +101,9 @@ def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch
     finally:
         tracemalloc.stop()
     # Holding the temperature and distance grids of all keyframes at once
-    # would alone reach grid_bytes. The peak is in fusion, which holds every
-    # temperature grid plus one height bin's rows.
-    assert peak < grid_bytes
+    # would alone reach grid_bytes. Each keyframe's grids are folded into
+    # the map's voxel sums and dropped before the next keyframe's exist.
+    assert peak < grid_bytes / 2
 
 
 def test_run_mapping_keeps_only_the_paired_gravity_for_the_solve(looped_session, monkeypatch):

@@ -14,6 +14,7 @@ from thermoslam import (
     RigidTransform3,
     ThermalImage,
     ThermalPointCloud,
+    VoxelSums,
     WallCloud,
     accumulate_map,
     extrude_walls,
@@ -353,59 +354,43 @@ def test_voxel_thin_rejects_key_range_beyond_int64():
         voxel_thin(positions, np.array([20.0, 21.0]), voxel_size=1.0)
 
 
-def test_accumulate_map_calls_voxel_thin_through_module(monkeypatch):
-    # The benchmark's tracer times fusion by wrapping thermal_map.voxel_thin.
-    calls = []
-    original = thermal_map.voxel_thin
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(thermal_map, "voxel_thin", counting)
-    calib = _calib(vertical_step=1.0)
-    levels = calib.heights().size
-    grid = np.full((2, levels), 20.0)
-    cloud = WallCloud([[1.0, 0.0], [1.01, 0.0]], calib.heights(), grid)
-    out = accumulate_map([cloud], [PlanarPose()], calib)
-    # One call per z bin; each bin holds both columns, which share one voxel.
-    assert calls == [2] * levels
-    assert out.positions.shape == (levels, 3)
-    # Levels closer than a voxel share a z bin, so one call serves both.
-    close = WallCloud([[1.0, 0.0], [1.01, 0.0]], [0.02, 0.03], grid[:, :2])
-    accumulate_map([close], [PlanarPose()], calib)
-    assert calls == [2] * levels + [4]
+def _fuse(clouds, poses, calib):
+    """The map of clouds folded one at a time, at their poses."""
+    sums = VoxelSums(calib)
+    for cloud, pose in zip(clouds, poses):
+        accumulate_map(sums, cloud, pose)
+    return sums
 
 
 def test_accumulate_map_lifts_by_sensor_height():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0]], [-0.6, 0.4], [[20.0, 21.0]])
-    out = accumulate_map([cloud], [PlanarPose()], calib, session_stamp=5)
+    cloud = WallCloud([[1.0, 0.0]], calib.heights(), [[20.0, 21.0, np.nan, 22.0]])
+    out = _fuse([cloud], [PlanarPose()], calib).finish(session_stamp=5)
     assert out.session_stamp == 5
     # Identity node: floor-level points land at world z = 0.
-    assert np.allclose(out.positions[:, 2], [0.0, 1.0])
-    assert np.array_equal(out.temperatures, [20.0, 21.0])
+    assert np.allclose(out.positions, [[1.0, 0.0, z] for z in (0.0, 1.0, 2.0, 3.0)])
+    assert np.array_equal(out.temperatures, [20.0, 21.0, np.nan, 22.0], equal_nan=True)
 
 
 def test_accumulate_map_applies_node_poses():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]])
+    cloud = WallCloud([[1.0, 0.0]], calib.heights(), np.full((1, 4), 20.0))
     pose = PlanarPose(2.0, 1.0, math.pi / 2.0)
-    out = accumulate_map([cloud], [pose], calib)
-    assert np.allclose(out.positions[0], [2.0, 2.0, 0.6], atol=1e-12)
+    out = _fuse([cloud], [pose], calib).finish()
+    assert np.allclose(out.positions[0], [2.0, 2.0, 0.0], atol=1e-12)
 
 
 def test_accumulate_map_validation():
     calib = _calib(vertical_step=1.0)
-    cloud = WallCloud([[1.0, 0.0]], [0.0], [[20.0]])
-    with pytest.raises(ValueError):
-        accumulate_map([cloud], [], calib)
-    with pytest.raises(ValueError):
-        accumulate_map([], [], calib)
-    other = WallCloud([[1.0, 0.0]], [0.5], [[20.0]])
+    sums = VoxelSums(calib)
+    other = WallCloud([[1.0, 0.0]], calib.heights() + 0.5, np.full((1, 4), 20.0))
     with pytest.raises(ValueError, match="heights"):
-        accumulate_map([cloud, other], [PlanarPose(), PlanarPose()], calib)
-
+        accumulate_map(sums, other, PlanarPose())
+    # Nothing folded, or only clouds without columns: an empty map.
+    empty = sums.finish()
+    assert empty.positions.shape == (0, 3) and empty.temperatures.shape == (0,)
+    accumulate_map(sums, WallCloud(np.empty((0, 2)), calib.heights(), np.empty((0, 4))), PlanarPose())
+    assert len(sums.finish()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +475,52 @@ def test_column_fusion_matches_rows_bit_for_bit(sensor_height, vertical_step, vo
     rows = [_extrude_rows(scan.points_xy, calib) for scan in scans]
     for cloud, row in zip(clouds, rows):
         assert np.array_equal(cloud.positions(), row)
-    out = accumulate_map(clouds, poses, calib)
+    out = _fuse(clouds, poses, calib).finish()
     ref_p, ref_t = _accumulate_rows(rows, [c.temperatures.reshape(-1) for c in clouds], poses, calib, voxel_size)
     assert 1 < len(out) < sum(len(c) for c in clouds)
+    assert np.array_equal(out.positions, ref_p)
+    assert np.array_equal(out.temperatures, ref_t, equal_nan=True)
+
+
+def _room_scan(rng, columns: int) -> tuple[ProjectedScan, PlanarPose]:
+    """A scan of the walls of a 4 x 4 m room, in the frame of a random pose inside it."""
+    along = rng.uniform(-2.0, 2.0, columns)
+    side = rng.integers(0, 4, columns)
+    # Sides 0 and 1 are the walls y = -2 and y = 2, sides 2 and 3 are x = -2 and x = 2.
+    x = np.where(side < 2, along, 2.0 * np.sign(side - 2.5))
+    y = np.where(side < 2, 2.0 * np.sign(side - 0.5), along)
+    pose = PlanarPose(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
+    rot = planar_to_rigid3(pose).rotation[:2, :2]
+    return ProjectedScan(0, (np.column_stack([x, y]) - [pose.x, pose.y]) @ rot), pose
+
+
+@pytest.mark.parametrize("case", ["empty-keyframes", "revisited-cells"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fusion_fold_matches_rows_across_keyframes(case, seed):
+    rng = np.random.default_rng(seed)
+    calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.02)
+    scans, poses = zip(*[_room_scan(rng, 120) for _ in range(8)])
+    scans, poses = list(scans), list(poses)
+    if case == "empty-keyframes":
+        # Keyframes whose scans kept no wall point, first and in the middle.
+        for at in (0, 4):
+            scans.insert(at, ProjectedScan(0, np.empty((0, 2))))
+            poses.insert(at, _random_pose(rng))
+    clouds = [extrude_walls(scan, calib) for scan in scans]
+    for cloud in clouds:
+        shape = cloud.temperatures.shape
+        cloud.temperatures[...] = np.where(rng.uniform(size=shape) < 0.3, np.nan, rng.uniform(10.0, 40.0, shape))
+    cells = [
+        {tuple(c) for c in np.floor(planar_to_rigid3(pose).apply(cloud.positions())[:, :2] / 0.05).astype(int)}
+        for cloud, pose in zip(clouds, poses)
+        if len(cloud)
+    ]
+    # Every keyframe with columns comes back to cells that earlier ones opened.
+    assert len(cells) == 8
+    assert all(cells[k] & set().union(*cells[:k]) for k in range(1, len(cells)))
+    rows = [_extrude_rows(scan.points_xy, calib) for scan in scans]
+    out = _fuse(clouds, poses, calib).finish()
+    ref_p, ref_t = _accumulate_rows(rows, [c.temperatures.reshape(-1) for c in clouds], poses, calib, 0.05)
     assert np.array_equal(out.positions, ref_p)
     assert np.array_equal(out.temperatures, ref_t, equal_nan=True)
 
@@ -530,34 +558,28 @@ def test_column_projection_matches_rows_bit_for_bit(noise, seed):
     assert np.array_equal(distance.reshape(-1), dists)
 
 
-def test_accumulate_map_peak_memory_scales_with_one_height_bin():
+def test_accumulate_map_peak_memory_holds_one_keyframe():
     # 100 keyframes x 240 columns x 31 levels around one 4 x 4 m room, as
-    # the clouds of a session revisit the same walls.
+    # the clouds of a session revisit the same walls; each is built,
+    # painted, folded and dropped in turn, as run_mapping does.
     rng = np.random.default_rng(12)
     calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.1)
-    clouds, poses = [], []
-    for _ in range(100):
-        along = rng.uniform(-2.0, 2.0, 240)
-        side = rng.integers(0, 4, 240)
-        # Sides 0 and 1 are the walls y = -2 and y = 2, sides 2 and 3 are x = -2 and x = 2.
-        x = np.where(side < 2, along, 2.0 * np.sign(side - 2.5))
-        y = np.where(side < 2, 2.0 * np.sign(side - 0.5), along)
-        world = np.column_stack([x, y])
-        pose = PlanarPose(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
-        rot = planar_to_rigid3(pose).rotation[:2, :2]
-        local = (world - [pose.x, pose.y]) @ rot
-        cloud = extrude_walls(ProjectedScan(0, local), calib)
-        cloud.temperatures[...] = rng.uniform(10.0, 30.0, cloud.temperatures.shape)
-        clouds.append(cloud)
-        poses.append(pose)
-    grid_bytes = sum(cloud.temperatures.nbytes for cloud in clouds)
+    grid_bytes = 0
     tracemalloc.start()
     try:
-        out = accumulate_map(clouds, poses, calib)
+        sums = VoxelSums(calib)
+        for _ in range(100):
+            scan, pose = _room_scan(rng, 240)
+            cloud = extrude_walls(scan, calib)
+            cloud.temperatures[...] = rng.uniform(10.0, 30.0, cloud.temperatures.shape)
+            grid_bytes += cloud.temperatures.nbytes
+            accumulate_map(sums, cloud, pose)
+            del cloud
+        out = sums.finish()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(out) < 100 * 240 * 31 // 10
-    # One height bin holds 1/31 of the points as (x, y, z) rows, so fusion
-    # needs less extra memory than the temperature grids it reads.
-    assert peak <= grid_bytes
+    # The voxel sums, the map and one keyframe's per-point arrays, not
+    # every keyframe's temperature grid.
+    assert peak < grid_bytes / 2
