@@ -6,7 +6,9 @@ Maps are binary little-endian PLY with temperature in the intensity
 channel. Every writer except the delta and maturity points tables has a
 matching reader; write -> read -> write is byte-identical. The writers of
 the stamped tables and of the map series run their reader's stamp, time
-and file-name checks before writing anything. All floats are
+and file-name checks before writing anything, and the thermal writer
+checks that every frame encodes. A loaded session keeps its thermal
+frames as PgmFrame, which reads its file when used. All floats are
 serialized with repr() so values round-trip exactly; all writes go
 through a temp file and an atomic rename.
 """
@@ -18,13 +20,14 @@ import os
 import re
 import tempfile
 from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..core import ImuSample, PlanarPose, RigidTransform3, Scan2D, Timestamp, Vec3
 from ..sim import SessionDataset
-from ..thermal_map import Calibration, CameraIntrinsics, ThermalImage, ThermalPointCloud
+from ..thermal_map import Calibration, CameraIntrinsics, ThermalFrame, ThermalPointCloud, decode_celsius
 
 SCANS_FILE = "scans.csv"
 IMU_FILE = "imu.csv"
@@ -269,30 +272,71 @@ def temperatures_to_raw(temperatures: np.ndarray, scale: float, offset: float) -
     return raw.astype(np.uint16)
 
 
-def write_thermal_frames(session_dir: Path, frames: list[ThermalImage], calib: Calibration) -> None:
+def write_thermal_frames(session_dir: Path, frames: list[ThermalFrame], calib: Calibration) -> None:
+    """One PGM per frame plus the index; every frame is checked before any file is written."""
     thermal_dir = Path(session_dir) / THERMAL_DIR
     _check_stamps(thermal_dir / THERMAL_INDEX, [frame.stamp for frame in frames])
-    lines = [THERMAL_HEADER]
-    for k, frame in enumerate(frames):
-        name = f"frame_{k:06d}.pgm"
-        raw = temperatures_to_raw(frame.temperatures, calib.thermal_scale, calib.thermal_offset)
-        write_pgm16(thermal_dir / name, raw)
-        lines.append(f"{frame.stamp},{name}")
-    _write_lines(thermal_dir / THERMAL_INDEX, lines)
+    paths = [thermal_dir / f"frame_{k:06d}.pgm" for k in range(len(frames))]
+
+    def encode(frame: ThermalFrame, path: Path) -> np.ndarray:
+        try:
+            return temperatures_to_raw(frame.temperatures, calib.thermal_scale, calib.thermal_offset)
+        except ValueError as exc:
+            raise _fail(path, None, str(exc)) from None
+
+    for frame, path in zip(frames, paths):
+        encode(frame, path)
+    for frame, path in zip(frames, paths):
+        write_pgm16(path, encode(frame, path))
+    _write_lines(thermal_dir / THERMAL_INDEX, [THERMAL_HEADER] + [f"{f.stamp},{p.name}" for f, p in zip(frames, paths)])
 
 
-def read_thermal_frames(session_dir: Path, calib: Calibration) -> list[ThermalImage]:
+@dataclass(frozen=True, eq=False, slots=True)
+class PgmFrame:
+    """A thermal frame of a loaded session: its stamp, its file, its size and
+    the session's encoding, not its samples.
+
+    temperatures reads the file again and runs the reader's checks on it,
+    so the samples exist only while the frame is used. A file that no
+    longer passes, or whose size changed, raises DatasetFormatError naming
+    the file.
+    """
+
+    stamp: Timestamp
+    path: Path
+    width: int
+    height: int
+    scale: float
+    offset: float
+
+    @property
+    def temperatures(self) -> np.ndarray:
+        """The file's samples decoded to degrees C, as a new float array."""
+        raw = read_pgm16(self.path)
+        if raw.shape != (self.height, self.width):
+            raise _fail(self.path, None, f"frame is {raw.shape[1]}x{raw.shape[0]} pixels, expected {self.width}x{self.height}")
+        try:
+            return decode_celsius(raw, self.scale, self.offset)
+        except ValueError as exc:
+            raise _fail(self.path, None, str(exc)) from None
+
+
+def read_thermal_frames(session_dir: Path, calib: Calibration) -> list[PgmFrame]:
+    """Check every frame listed in the index and keep it as a PgmFrame.
+
+    Each frame must have the calibration's width and height and decode to
+    plausible temperatures.
+    """
     thermal_dir = Path(session_dir) / THERMAL_DIR
     index = thermal_dir / THERMAL_INDEX
-    frames: list[ThermalImage] = []
+    intr = calib.intrinsics
+    frames: list[PgmFrame] = []
     for lineno, (stamp, name) in _read_table(index, THERMAL_HEADER):
         stamp = _parse_int(stamp, index, lineno, "stamp_ns")
         frame_path = thermal_dir / _bare_name(name, index, lineno, "frame")
-        raw = read_pgm16(frame_path)
-        try:
-            frames.append(ThermalImage(stamp, raw, calib.thermal_scale, calib.thermal_offset))
-        except ValueError as exc:
-            raise _fail(frame_path, None, str(exc)) from None
+        frame = PgmFrame(stamp, frame_path, intr.width, intr.height, calib.thermal_scale, calib.thermal_offset)
+        frame.temperatures  # read and check now, so a bad frame fails the load
+        frames.append(frame)
     _check_stamps(index, [frame.stamp for frame in frames])
     return frames
 
@@ -420,6 +464,9 @@ def load_session(session_dir: Path) -> SessionDataset:
     """Parse and validate a session directory.
 
     The groundtruth.csv sidecar is optional; everything else is required.
+    Every thermal frame is checked here but kept as a PgmFrame, which
+    reads its file again when its temperatures are used, so the frame
+    files must not change while the session is in use.
     """
     session_dir = Path(session_dir)
     if not session_dir.is_dir():

@@ -23,7 +23,7 @@ from ..scan_frontend import (
     match_scans,
 )
 from ..sim import SessionDataset, trajectory_ate
-from ..thermal_map import ThermalImage, ThermalPointCloud, VoxelSums, accumulate_map, extrude_walls, project_to_thermal
+from ..thermal_map import ThermalFrame, ThermalPointCloud, VoxelSums, accumulate_map, extrude_walls, project_to_thermal
 
 
 # A scan becomes a keyframe once it is KEYFRAME_DISTANCE (m) or
@@ -180,7 +180,7 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     frames_used = 0
     frames_far = 0
     frames_unsteady = 0
-    paint: list[list[tuple[ThermalImage, RigidTransform3]]] = [[] for _ in kf_indices]
+    paint: list[list[tuple[ThermalFrame, RigidTransform3]]] = [[] for _ in kf_indices]
     for frame in dataset.frames:
         slot = int(np.searchsorted(node_stamps, frame.stamp))
         candidates = [i for i in (slot - 1, slot) if 0 <= i < len(node_stamps)]

@@ -33,7 +33,7 @@ from .core import (
     rotation_about_z,
     wrap_angle,
 )
-from .thermal_map import Calibration, CameraIntrinsics, ThermalImage
+from .thermal_map import Calibration, CameraIntrinsics, ThermalFrame, ThermalImage
 
 GRAVITY = 9.80665
 
@@ -496,7 +496,7 @@ class SessionDataset:
 
     scans: list[Scan2D]
     imu: list[ImuSample]
-    frames: list[ThermalImage]
+    frames: list[ThermalFrame]
     calib: Calibration
     ground_truth: list[tuple[Timestamp, PlanarPose]] | None = None
     site: SiteModel | None = None

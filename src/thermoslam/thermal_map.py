@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -50,14 +51,51 @@ class CameraIntrinsics:
             raise ValueError("image must be at least 2x2")
 
 
+def decode_celsius(pixels: np.ndarray, scale: float, offset: float) -> np.ndarray:
+    """pixels * scale + offset as a new float array of degrees C, checked.
+
+    Raises ValueError unless the frame is 2D and at least 2x2, and every
+    decoded temperature is finite and inside the plausible radiometric
+    interval (-40, 300) degC.
+    """
+    t = np.asarray(pixels, dtype=float) * scale + offset
+    if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
+        raise ValueError("thermal image must be 2D, at least 2x2")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("thermal image has non-finite temperatures")
+    if t.min() <= -40.0 or t.max() >= 300.0:
+        raise ValueError("temperatures outside plausible range (-40, 300) degC")
+    return t
+
+
+class ThermalFrame(Protocol):
+    """What painting reads of a frame: its stamp, its size and its temperatures.
+
+    ThermalImage holds its pixels in memory; a frame of a loaded session
+    (cli_io.formats.PgmFrame) reads its file each time temperatures is used.
+    """
+
+    @property
+    def stamp(self) -> Timestamp: ...
+
+    @property
+    def width(self) -> int: ...
+
+    @property
+    def height(self) -> int: ...
+
+    @property
+    def temperatures(self) -> np.ndarray: ...
+
+
 @dataclass(eq=False)
 class ThermalImage:
-    """Radiometric frame: pixels p that read scale * p + offset degrees C.
+    """Radiometric frame in memory: pixels p that read scale * p + offset degrees C.
 
-    The pixels are kept as given, so a frame loaded from 16-bit counts holds
-    those counts; Celsius arrays take the default identity encoding. The
-    decoded temperatures must be finite and inside the plausible radiometric
-    interval (-40, 300) degC; ingest rejects anything else.
+    The pixels are kept as given; Celsius arrays take the default identity
+    encoding. The simulator makes these; a loaded session keeps its frames
+    in their files instead (cli_io.formats.PgmFrame). The decoded
+    temperatures must pass decode_celsius; ingest rejects anything else.
     """
 
     stamp: Timestamp
@@ -68,13 +106,7 @@ class ThermalImage:
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels)
         self.scale, self.offset = float(self.scale), float(self.offset)
-        t = self.temperatures
-        if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
-            raise ValueError("thermal image must be 2D, at least 2x2")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("thermal image has non-finite temperatures")
-        if t.min() <= -40.0 or t.max() >= 300.0:
-            raise ValueError("temperatures outside plausible range (-40, 300) degC")
+        decode_celsius(self.pixels, self.scale, self.offset)
         self.stamp = int(self.stamp)
 
     @property
@@ -243,7 +275,7 @@ def project_to_thermal(
     distance: np.ndarray,
     camera_pose: RigidTransform3,
     intrinsics: CameraIntrinsics,
-    image: ThermalImage,
+    image: ThermalFrame,
 ) -> None:
     """Color, in place, the wall points that fall inside one thermal frame.
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -335,7 +336,7 @@ def test_thermal_frames_roundtrip(tmp_path):
     ]
 
 
-def test_read_thermal_frames_keeps_counts(tmp_path):
+def test_read_thermal_frames_keeps_no_samples(tmp_path):
     calib = _small_calib(width=80, height=60)
     rng = np.random.default_rng(4)
     stamps = [k * 100_000_000 for k in range(12)]
@@ -347,10 +348,75 @@ def test_read_thermal_frames_keeps_counts(tmp_path):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert all(frame.pixels.dtype == np.uint16 for frame in frames)
-    # The 16-bit counts plus a small fixed amount per frame; float64
-    # temperatures would take 8 bytes per pixel.
-    assert kept <= 2 * 60 * 80 * len(frames) + 1024 * len(frames)
+    # A stamp, a path, a size and the encoding per frame; the 16-bit
+    # samples alone would take 2 * 80 * 60 = 9600 bytes.
+    assert kept <= 1024 * len(frames)
+    assert [(f.stamp, f.width, f.height) for f in frames] == [(s, 80, 60) for s in stamps]
+    assert [f.path.name for f in frames] == [f"frame_{k:06d}.pgm" for k in range(12)]
+
+
+def test_cli_map_rejects_a_frame_of_another_size_before_mapping(tmp_path, capsys):
+    session = tmp_path / "session"
+    save_session(_small_dataset(), session)
+    frame = session / "thermal" / "frame_000003.pgm"
+    write_pgm16(frame, np.full((60, 80), 12000, dtype=np.uint16))
+    with pytest.raises(DatasetFormatError, match="frame is 80x60 pixels, expected ") as exc:
+        load_session(session)
+    assert str(exc.value).startswith(f"{frame}: ")
+    out = tmp_path / "out"
+    assert main(["map", "--session", str(session), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {frame}: ")
+    assert not out.exists()
+
+
+def test_write_thermal_frames_checks_every_frame_before_writing(tmp_path):
+    calib = dataclasses.replace(_small_calib(), thermal_scale=0.001, thermal_offset=-10.0)
+    # 80 degC needs raw 90000 at this encoding, past 65535.
+    frames = [ThermalImage(k, np.full((6, 8), t)) for k, t in enumerate((20.0, 30.0, 80.0))]
+    with pytest.raises(DatasetFormatError, match="encodable raw range") as exc:
+        write_thermal_frames(tmp_path, frames, calib)
+    assert str(exc.value).startswith(str(tmp_path / "thermal" / "frame_000002.pgm"))
+    assert not (tmp_path / "thermal").exists() or not any((tmp_path / "thermal").iterdir())
+
+
+@pytest.mark.parametrize("change", ["truncated", "resized"])
+def test_loaded_frames_are_read_again_when_they_paint(tmp_path, monkeypatch, change):
+    session = tmp_path / "session"
+    dataset = _small_dataset()
+    # One more frame a second after the last scan, outside every keyframe's window.
+    last = dataset.frames[-1]
+    dataset.frames.append(ThermalImage(dataset.scans[-1].stamp + 1_000_000_000, last.temperatures))
+    save_session(dataset, session)
+    painted: list[Path] = []
+    paint = thermoslam.cli_io.pipeline.project_to_thermal
+
+    def recording_paint(cloud, distance, camera_pose, intrinsics, image):
+        painted.append(image.path)
+        paint(cloud, distance, camera_pose, intrinsics, image)
+
+    monkeypatch.setattr(thermoslam.cli_io.pipeline, "project_to_thermal", recording_paint)
+    expected = run_mapping(load_session(session)).cloud
+    used = sorted(set(painted))
+    frames = sorted((session / "thermal").glob("*.pgm"))
+    assert 0 < len(used) < len(frames)
+
+    # Files of frames that no keyframe uses are never read after the load.
+    dataset = load_session(session)
+    for path in frames:
+        if path not in used:
+            path.unlink()
+    cloud = run_mapping(dataset).cloud
+    np.testing.assert_array_equal(cloud.positions, expected.positions)
+    np.testing.assert_array_equal(cloud.temperatures, expected.temperatures)
+
+    victim = used[len(used) // 2]
+    if change == "truncated":
+        victim.write_bytes(victim.read_bytes()[:-1])
+    else:
+        write_pgm16(victim, np.full((60, 80), 12000, dtype=np.uint16))
+    with pytest.raises(DatasetFormatError) as exc:
+        run_mapping(dataset)
+    assert str(exc.value).startswith(f"{victim}: ")
 
 
 def test_thermal_index_rejects_path_escape(tmp_path):
