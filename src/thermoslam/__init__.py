@@ -8,9 +8,8 @@ simulator provides ground truth for every stage.
 """
 
 from .core import (
-    GravityVector,
     HuberLoss,
-    ImuSample,
+    ImuSeries,
     PlanarPose,
     RigidTransform3,
     Scan2D,

@@ -7,10 +7,11 @@ channel. Every writer except the delta and maturity points tables has a
 matching reader; write -> read -> write is byte-identical. The writers of
 the stamped tables and of the map series run their reader's stamp, time
 and file-name checks before writing anything, and the thermal writer
-checks that every frame encodes. A loaded session keeps its thermal
-frames as PgmFrame, which reads its file when used. All floats are
-serialized with repr() so values round-trip exactly; all writes go
-through a temp file and an atomic rename.
+checks that every frame encodes. Text files are read one line at a time.
+A loaded session keeps its IMU samples as one ImuSeries of columns and
+its thermal frames as PgmFrame, which reads its file when used. All
+floats are serialized with repr() so values round-trip exactly; all
+writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import math
 import os
 import re
 import tempfile
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..core import ImuSample, PlanarPose, RigidTransform3, Scan2D, Timestamp, Vec3
+from ..core import ImuSeries, PlanarPose, RigidTransform3, Scan2D, Timestamp, Vec3
 from ..sim import SessionDataset
 from ..thermal_map import Calibration, CameraIntrinsics, ThermalFrame, ThermalPointCloud, decode_celsius
 
@@ -90,26 +92,40 @@ def _read_bytes(path: Path) -> bytes:
         raise _fail(path, None, str(exc)) from None
 
 
-def _read_text(path: Path) -> str:
+def _read_lines(path: Path) -> Iterator[str]:
+    """The file's lines as str.splitlines would give them, read one at a time.
+
+    A physical line ends at a newline; splitting it again breaks it at the
+    other boundaries str.splitlines knows (a carriage return, alone or
+    before the newline, vertical tab, form feed and the ASCII file, group
+    and record separators).
+    """
     try:
-        return path.read_text(encoding="ascii")
+        handle = open(path, "rb")
     except OSError as exc:
         raise _fail(path, None, str(exc)) from None
-    except UnicodeDecodeError:
-        raise _fail(path, None, "not an ASCII text file") from None
+    with handle:
+        try:
+            for line in handle:
+                yield from line.decode("ascii").splitlines()
+        except OSError as exc:
+            raise _fail(path, None, str(exc)) from None
+        except UnicodeDecodeError:
+            raise _fail(path, None, "not an ASCII text file") from None
 
 
 def _read_table(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each row below an exact header line.
 
     Every row must be non-blank and have as many comma-separated fields
-    as the header, so data row k (from 0) is on line k + 2.
+    as the header, so data row k (from 0) is on line k + 2. The file is
+    read one line at a time.
     """
-    rows = _read_text(path).splitlines()
-    if not rows or rows[0] != header:
+    rows = _read_lines(path)
+    if next(rows, None) != header:
         raise _fail(path, 1, f"expected header {header!r}")
     columns = header.count(",") + 1
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             raise _fail(path, lineno, "blank line")
         fields = row.split(",")
@@ -155,9 +171,12 @@ def _parse_float(token: str, path: Path, line: int, what: str) -> float:
 
 def _parse_int(token: str, path: Path, line: int, what: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise _fail(path, line, f"bad {what}: {token!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise _fail(path, line, f"{what} must fit a signed 64-bit integer, got {token!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +189,7 @@ def write_scans_csv(path: Path, scans: list[Scan2D]) -> None:
     _check_stamps(path, [scan.stamp for scan in scans])
     lines = [SCANS_HEADER]
     for scan in scans:
-        ranges = ";".join(_fmt(r) for r in scan.ranges)
+        ranges = ";".join(map(repr, scan.ranges.tolist()))
         lines.append(f"{scan.stamp},{_fmt(scan.angle_min)},{_fmt(scan.angle_increment)},{ranges}")
     _write_lines(path, lines)
 
@@ -197,28 +216,26 @@ def read_scans_csv(path: Path) -> list[Scan2D]:
 IMU_HEADER = "stamp_ns,ax,ay,az"
 
 
-def write_imu_csv(path: Path, samples: list[ImuSample]) -> None:
-    _check_stamps(path, [s.stamp for s in samples])
+def write_imu_csv(path: Path, imu: ImuSeries) -> None:
+    stamps = imu.stamps.tolist()
+    _check_stamps(path, stamps)
     lines = [IMU_HEADER]
-    for s in samples:
-        lines.append(f"{s.stamp},{_fmt(s.accel.x)},{_fmt(s.accel.y)},{_fmt(s.accel.z)}")
+    for stamp, (ax, ay, az) in zip(stamps, imu.accel.tolist()):
+        lines.append(f"{stamp},{ax!r},{ay!r},{az!r}")
     _write_lines(path, lines)
 
 
-def read_imu_csv(path: Path) -> list[ImuSample]:
+def read_imu_csv(path: Path) -> ImuSeries:
     path = Path(path)
-    samples: list[ImuSample] = []
+    stamps = array("q")
+    accel = array("d")
     for lineno, (stamp, ax, ay, az) in _read_table(path, IMU_HEADER):
-        stamp = _parse_int(stamp, path, lineno, "stamp_ns")
-        ax = _parse_float(ax, path, lineno, "ax")
-        ay = _parse_float(ay, path, lineno, "ay")
-        az = _parse_float(az, path, lineno, "az")
-        try:
-            samples.append(ImuSample(stamp, Vec3(ax, ay, az)))
-        except ValueError as exc:
-            raise _fail(path, lineno, str(exc)) from None
-    _check_stamps(path, [s.stamp for s in samples])
-    return samples
+        stamps.append(_parse_int(stamp, path, lineno, "stamp_ns"))
+        accel.append(_parse_float(ax, path, lineno, "ax"))
+        accel.append(_parse_float(ay, path, lineno, "ay"))
+        accel.append(_parse_float(az, path, lineno, "az"))
+    _check_stamps(path, stamps)
+    return ImuSeries(np.frombuffer(stamps, dtype=np.int64), np.frombuffer(accel, dtype=float).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +283,10 @@ def read_pgm16(path: Path) -> np.ndarray:
 
 
 def temperatures_to_raw(temperatures: np.ndarray, scale: float, offset: float) -> np.ndarray:
+    """Raw counts round((t - offset) / scale); every count must fit a PGM sample."""
     raw = np.round((np.asarray(temperatures, dtype=float) - offset) / scale)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("temperatures must be finite to encode")
     if raw.min() < 0 or raw.max() > PGM_MAXVAL:
         raise ValueError("temperatures outside the encodable raw range")
     return raw.astype(np.uint16)
@@ -368,7 +388,7 @@ def write_calib(path: Path, calib: Calibration) -> None:
 def read_calib(path: Path) -> Calibration:
     path = Path(path)
     values: dict[str, str] = {}
-    for lineno, row in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, row in enumerate(_read_lines(path), start=1):
         if not row.strip():
             continue
         if "=" not in row:
@@ -660,7 +680,7 @@ def write_report(path: Path, entries: dict[str, object]) -> None:
 def read_report(path: Path) -> dict[str, str]:
     path = Path(path)
     out: dict[str, str] = {}
-    for lineno, row in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, row in enumerate(_read_lines(path), start=1):
         if not row.strip():
             continue
         if " = " not in row:
@@ -674,8 +694,10 @@ def read_report(path: Path) -> dict[str, str]:
 
 def write_delta_csv(path: Path, positions: np.ndarray, deltas: np.ndarray) -> None:
     lines = ["x,y,z,dt"]
-    for (x, y, z), dt in zip(positions, deltas):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(dt)}")
+    # Row by row: Python floats for every row at once would outweigh the lines.
+    for row in np.column_stack([positions, deltas]).astype(float, copy=False):
+        x, y, z, dt = row.tolist()
+        lines.append(f"{x!r},{y!r},{z!r},{dt!r}")
     _write_lines(path, lines)
 
 

@@ -104,46 +104,54 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
     The map and trajectory live in the frame of the first usable scan
     (node 0). Deterministic: identical datasets produce identical results.
 
-    Stages run so that each frees what the next does not need. Odometry
-    keeps only the keyframe scans and every scan's stamp. Loop detection
-    is the last reader of the keyframes' normals and search trees, which
-    are dropped before the pose-graph solve. Painting reads only odometry
-    poses, so it comes after the solve. One keyframe at a time, it extrudes
-    the keyframe's cloud, paints it in place with its frames in session
-    order, and folds it at its solved pose into the map's running voxel
-    sums; the cloud and the camera-distance grid that painting needs are
-    dropped before the next keyframe is extruded, so at most one of each
-    exists. The finished sums are the map.
+    Stages run so that each frees what the next does not need. The IMU
+    readings are filtered into one gravity direction per reading, and each
+    scan is paired with the direction nearest in time. Odometry then levels
+    each scan and matches it against the current keyframe as soon as it is
+    paired; it keeps only the keyframe scans and every scan's stamp and
+    pose, so at most one scan that is not a keyframe exists at a time. Loop
+    detection is the last reader of the keyframes' normals and search
+    trees, which are dropped before the pose-graph solve. Painting reads
+    only odometry poses, so it comes after the solve. One keyframe at a
+    time, it extrudes the keyframe's cloud, paints it in place with its
+    frames in session order, and folds it at its solved pose into the map's
+    running voxel sums; the cloud and the camera-distance grid that
+    painting needs are dropped before the next keyframe is extruded, so at
+    most one of each exists. The finished sums are the map.
     """
     if not dataset.scans:
         raise ValueError("session has no scans")
 
-    # Only each scan's paired vector outlives the pairing, not one per IMU sample.
-    pairs, dropped_gravity = associate_gravity(dataset.scans, filter_gravity(dataset.imu))
-
-    projected: list[ProjectedScan] = []
-    degenerate = 0
-    for scan, g in pairs:
-        try:
-            projected.append(gravity_project(scan, g))
-        except DegenerateScanError:
-            degenerate += 1
-    if not projected:
-        raise ValueError("no usable scans after gravity leveling")
+    gravity = filter_gravity(dataset.imu)
+    pairs, dropped_gravity = associate_gravity(dataset.scans, dataset.imu.stamps)
 
     # Scan-to-keyframe odometry: every scan is matched against the current
     # keyframe, so drift accumulates per keyframe hop rather than per scan.
-    kf_indices = [0]
-    kf_poses = [PlanarPose()]
+    kf_scans: list[ProjectedScan] = []
+    kf_poses: list[PlanarPose] = []
     kf_relatives: list[PlanarPose] = []
-    scan_poses = [PlanarPose()]
+    scan_stamps: list[int] = []
+    scan_poses: list[PlanarPose] = []
+    degenerate = 0
     fallbacks = 0
     odometry_associations = 0
     rel_to_kf = PlanarPose()
     last_step = PlanarPose()
-    for k in range(1, len(projected)):
+    current = None
+    for scan, sample in pairs:
+        try:
+            current = gravity_project(scan, gravity[sample])
+        except DegenerateScanError:
+            degenerate += 1
+            continue
+        scan_stamps.append(current.stamp)
+        if not kf_scans:
+            kf_scans.append(current)
+            kf_poses.append(PlanarPose())
+            scan_poses.append(PlanarPose())
+            continue
         guess = compose(rel_to_kf, last_step)
-        result = match_scans(projected[kf_indices[-1]], projected[k], initial_guess=guess)
+        result = match_scans(kf_scans[-1], current, initial_guess=guess)
         odometry_associations += result.associations
         rel = result.relative_pose  # the guess when the match did not converge
         if not result.converged:
@@ -152,15 +160,14 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         rel_to_kf = rel
         scan_poses.append(compose(kf_poses[-1], rel))
         if math.hypot(rel.x, rel.y) >= KEYFRAME_DISTANCE or abs(rel.theta) >= KEYFRAME_ANGLE:
-            kf_indices.append(k)
+            kf_scans.append(current)
             kf_relatives.append(rel)
             kf_poses.append(scan_poses[-1])
             rel_to_kf = PlanarPose()
-
-    # Past odometry only the keyframe scans and every scan's stamp are read.
-    scan_stamps = np.array([p.stamp for p in projected], dtype=np.int64)
-    kf_scans = [projected[i] for i in kf_indices]
-    del projected
+    del pairs, gravity, current
+    if not kf_scans:
+        raise ValueError("no usable scans after gravity leveling")
+    scan_stamps = np.array(scan_stamps, dtype=np.int64)
 
     loop_edges, loop_rejected, loop_associations = detect_loop_closures(kf_scans, kf_poses)
     # Extrusion reads only the points: fresh scans leave the matched ones'
@@ -175,12 +182,12 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
 
     # Thermal attachment: each frame goes to the keyframe nearest in time,
     # with the camera pose interpolated from the dense odometry track.
-    node_stamps = scan_stamps[kf_indices]
+    node_stamps = np.array([s.stamp for s in kf_scans], dtype=np.int64)
     track = _DenseTrack(scan_stamps, scan_poses)
     frames_used = 0
     frames_far = 0
     frames_unsteady = 0
-    paint: list[list[tuple[ThermalFrame, RigidTransform3]]] = [[] for _ in kf_indices]
+    paint: list[list[tuple[ThermalFrame, RigidTransform3]]] = [[] for _ in kf_scans]
     for frame in dataset.frames:
         slot = int(np.searchsorted(node_stamps, frame.stamp))
         candidates = [i for i in (slot - 1, slot) if 0 <= i < len(node_stamps)]
@@ -214,7 +221,7 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         "scans_total": len(dataset.scans),
         "scans_dropped_gravity": dropped_gravity,
         "scans_degenerate": degenerate,
-        "keyframes": len(kf_indices),
+        "keyframes": len(kf_scans),
         "odometry_fallbacks": fallbacks,
         "odometry_associations": odometry_associations,
         "frames_total": len(dataset.frames),

@@ -252,25 +252,31 @@ class Scan2D:
         return np.isfinite(self.ranges)
 
 
-@dataclass(frozen=True)
-class GravityVector:
-    """Unit gravity direction in the sensor frame at a given time."""
+@dataclass(eq=False)
+class ImuSeries:
+    """Raw accelerometer readings as columns: measured gravity acceleration
+    in the sensor frame.
 
-    stamp: Timestamp
-    direction: Vec3
+    stamps is an int64 (M,) array and accel a float64 (M, 3) array whose
+    row i was read at stamps[i]. Construction stores both in those dtypes
+    and requires one finite row per stamp.
+    """
+
+    stamps: np.ndarray
+    accel: np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(self.direction.norm() - 1.0) > 1e-9:
-            raise ValueError("gravity direction must be unit length")
-        object.__setattr__(self, "stamp", int(self.stamp))
+        stamps = np.asarray(self.stamps, dtype=np.int64)
+        accel = np.asarray(self.accel, dtype=float)
+        if stamps.ndim != 1 or accel.shape != (stamps.size, 3):
+            raise ValueError("IMU series needs one (ax, ay, az) row per stamp")
+        if not np.all(np.isfinite(accel)):
+            raise ValueError("IMU accelerations must be finite")
+        self.stamps = stamps
+        self.accel = accel
 
-
-@dataclass(frozen=True)
-class ImuSample:
-    """Raw accelerometer reading: measured gravity acceleration, sensor frame."""
-
-    stamp: Timestamp
-    accel: Vec3
+    def __len__(self) -> int:
+        return self.stamps.size
 
 
 @dataclass(frozen=True)

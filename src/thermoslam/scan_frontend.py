@@ -17,17 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (
-    GravityVector,
-    HuberLoss,
-    ImuSample,
-    PlanarPose,
-    Scan2D,
-    Timestamp,
-    Vec3,
-    rotation_aligning,
-    wrap_angle,
-)
+from .core import HuberLoss, ImuSeries, PlanarPose, Scan2D, Timestamp, rotation_aligning, wrap_angle
 
 DOWN = np.array([0.0, 0.0, -1.0])
 MIN_POINT_NORM = 1e-9  # leveled points closer to the origin are zero-range
@@ -123,57 +113,58 @@ class MatchResult:
     associations: int
 
 
-def filter_gravity(samples: list[ImuSample], alpha: float = 0.05) -> list[GravityVector]:
+def filter_gravity(imu: ImuSeries, alpha: float = 0.05) -> np.ndarray:
     """Exponential moving average over raw accelerometer readings.
 
-    The filter state starts at the first sample; each output direction is
-    the normalized running average at that stamp.
+    Returns an (M, 3) array of unit gravity directions, row i at
+    imu.stamps[i]. The filter state starts at the first reading; each row
+    is the running average after reading i,
+    state = (1 - alpha) * state + alpha * accel[i], divided by its norm.
     """
-    if not samples:
+    if not len(imu):
         raise ValueError("empty IMU stream")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    state = samples[0].accel.as_array()
-    out: list[GravityVector] = []
-    for sample in samples:
-        state = (1.0 - alpha) * state + alpha * sample.accel.as_array()
+    state = imu.accel[0]
+    out = np.empty_like(imu.accel)
+    for i, accel in enumerate(imu.accel):
+        state = (1.0 - alpha) * state + alpha * accel
         norm = np.linalg.norm(state)
         if norm < 1e-12:
             raise ValueError("gravity filter collapsed to zero vector")
-        out.append(GravityVector(sample.stamp, Vec3.from_array(state / norm)))
+        out[i] = state / norm
     return out
 
 
 def associate_gravity(
     scans: list[Scan2D],
-    gravity: list[GravityVector],
+    stamps: np.ndarray,
     max_offset_ns: int = 100_000_000,
-) -> tuple[list[tuple[Scan2D, GravityVector]], int]:
-    """Pair each scan with the gravity sample nearest in time.
+) -> tuple[list[tuple[Scan2D, int]], int]:
+    """Pair each scan with the index of the gravity sample nearest in time.
 
-    Ties go to the earlier sample. Scans whose nearest sample is more than
-    max_offset_ns away are dropped; the second return value counts them.
-    Both streams must be time-sorted and the gravity stream non-empty.
+    stamps are the gravity samples' stamps. Ties go to the earlier sample.
+    Scans whose nearest sample is more than max_offset_ns away are dropped;
+    the second return value counts them. Both streams must be time-sorted
+    and the gravity stream non-empty.
     """
-    if not gravity:
+    g_stamps = np.asarray(stamps, dtype=np.int64)
+    if not g_stamps.size:
         raise ValueError("empty IMU stream")
-    g_stamps = np.array([g.stamp for g in gravity], dtype=np.int64)
     if np.any(np.diff(g_stamps) < 0):
         raise ValueError("gravity stream is not time-sorted")
     s_stamps = np.array([s.stamp for s in scans], dtype=np.int64)
     if np.any(np.diff(s_stamps) < 0):
         raise ValueError("scan stream is not time-sorted")
-    pairs: list[tuple[Scan2D, GravityVector]] = []
-    dropped = 0
-    right = np.searchsorted(g_stamps, s_stamps, side="left")
-    for scan, r in zip(scans, right):
-        candidates = [i for i in (r - 1, r) if 0 <= i < len(gravity)]
-        best = min(candidates, key=lambda i: (abs(int(g_stamps[i] - scan.stamp)), g_stamps[i]))
-        if abs(int(g_stamps[best] - scan.stamp)) > max_offset_ns:
-            dropped += 1
-            continue
-        pairs.append((scan, gravity[best]))
-    return pairs, dropped
+    # The nearest sample is the last one before the scan or the first one
+    # at or after it; the earlier one wins a tie.
+    after = np.searchsorted(g_stamps, s_stamps, side="left")
+    before = np.maximum(after - 1, 0)
+    after = np.minimum(after, g_stamps.size - 1)
+    best = np.where(s_stamps - g_stamps[before] <= g_stamps[after] - s_stamps, before, after)
+    near = np.abs(g_stamps[best] - s_stamps) <= max_offset_ns
+    pairs = [(scan, i) for scan, i, ok in zip(scans, best.tolist(), near.tolist()) if ok]
+    return pairs, len(scans) - len(pairs)
 
 
 def scan_to_points(scan: Scan2D) -> np.ndarray:
@@ -195,10 +186,11 @@ def project_points_to_plane(points: np.ndarray, gravity: np.ndarray) -> np.ndarr
     return pts - np.outer((pts @ g) / float(g @ g), g)
 
 
-def gravity_project(scan: Scan2D, gravity: GravityVector) -> ProjectedScan:
+def gravity_project(scan: Scan2D, gravity: np.ndarray) -> ProjectedScan:
     """Level a scan: project beam endpoints onto the horizontal plane.
 
-    The in-plane basis is chosen by the smallest rotation taking the
+    gravity is the unit gravity direction in the sensor frame, a 3-vector
+    such as a row of :func:`filter_gravity`. The in-plane basis is chosen by the smallest rotation taking the
     gravity direction onto -z, so a level scan passes through bit-for-bit.
     Points that project within MIN_POINT_NORM of the origin (beams parallel
     to gravity) are discarded as zero-range.
@@ -206,7 +198,7 @@ def gravity_project(scan: Scan2D, gravity: GravityVector) -> ProjectedScan:
     points = scan_to_points(scan)
     if points.shape[0] < 2:
         raise DegenerateScanError("scan has fewer than 2 finite returns")
-    g = gravity.direction.as_array()
+    g = np.asarray(gravity, dtype=float).reshape(3)
     flat = project_points_to_plane(points, g)
     basis = rotation_aligning(g, DOWN)
     leveled = flat @ basis.T
@@ -245,7 +237,9 @@ def estimate_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = (nbr - mean[:, None, :]) * w
     cov = np.einsum("nki,nkj->nij", centered, centered) / denom[:, :, None]
     eigvals, eigvecs = np.linalg.eigh(cov)
-    normals = eigvecs[:, :, 0]  # eigenvector of the smaller eigenvalue
+    # The eigenvector of the smaller eigenvalue, copied so that the cached
+    # normals do not keep the whole eigenvector array alive.
+    normals = eigvecs[:, :, 0].copy()
     valid &= eigvals[:, 1] > 1e-12
     valid &= eigvals[:, 0] <= NORMAL_FLATNESS * eigvals[:, 1]
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0

@@ -23,12 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    ImuSample,
+    ImuSeries,
     PlanarPose,
     RigidTransform3,
     Scan2D,
     Timestamp,
-    Vec3,
     fit_rigid_2d,
     rotation_about_z,
     wrap_angle,
@@ -495,7 +494,7 @@ class SessionDataset:
     """In-memory capture session; cli_io owns the on-disk layout."""
 
     scans: list[Scan2D]
-    imu: list[ImuSample]
+    imu: ImuSeries
     frames: list[ThermalFrame]
     calib: Calibration
     ground_truth: list[tuple[Timestamp, PlanarPose]] | None = None
@@ -595,15 +594,16 @@ def simulate_session(
         ground_truth.append((stamp, planar))
 
     gravity_world = np.array([0.0, 0.0, -GRAVITY])
-    imu: list[ImuSample] = []
+    imu_stamps = np.empty(len(imu_times), dtype=np.int64)
+    accel = np.empty((len(imu_times), 3))
     for i, t in enumerate(imu_times):
-        stamp = int(round(t * 1e9))
+        imu_stamps[i] = int(round(t * 1e9))
         planar = timeline.pose_at(t)
         rot = _attitude(planar.theta, float(tilt[i, 0]), float(tilt[i, 1]))
         g_sensor = rot.T @ gravity_world
         if noise.accel_noise_sigma > 0.0:
             g_sensor = g_sensor + noise.accel_noise_sigma * imu_rng.standard_normal(3)
-        imu.append(ImuSample(stamp, Vec3.from_array(g_sensor)))
+        accel[i] = g_sensor
 
     frames: list[ThermalImage] = []
     for t in _sample_times(timeline.duration, traj.thermal_rate):
@@ -612,7 +612,7 @@ def simulate_session(
         world_to_camera = calib.camera_extrinsic.compose(pose3.inverse())
         frames.append(render_thermal(site, world_to_camera, INTRINSICS, noise=noise, rng=thermal_rng, stamp=stamp))
 
-    return SessionDataset(scans, imu, frames, calib, ground_truth, site)
+    return SessionDataset(scans, ImuSeries(imu_stamps, accel), frames, calib, ground_truth, site)
 
 
 # ---------------------------------------------------------------------------

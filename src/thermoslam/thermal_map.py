@@ -204,7 +204,8 @@ class Calibration:
     wall (slab-to-slab) height and vertical_step the spacing of the
     extruded levels; construction requires 0 < sensor_height <
     floor_height and 0 < vertical_step <= floor_height. A raw thermal pixel
-    p reads thermal_scale * p + thermal_offset degrees C.
+    p reads thermal_scale * p + thermal_offset degrees C, and construction
+    requires a finite thermal_scale > 0.
     """
 
     intrinsics: CameraIntrinsics
@@ -220,6 +221,8 @@ class Calibration:
             raise ValueError("need 0 < sensor_height < floor_height")
         if not 0.0 < self.vertical_step <= self.floor_height:
             raise ValueError("need 0 < vertical_step <= floor_height")
+        if not 0.0 < self.thermal_scale < math.inf:
+            raise ValueError(f"need 0 < thermal_scale < inf, got {self.thermal_scale}")
 
     def heights(self) -> np.ndarray:
         """Extrusion heights relative to the sensor plane (z = 0)."""

@@ -24,7 +24,6 @@ from scipy.optimize import least_squares
 
 from thermoslam import (
     GraphEdge,
-    GravityVector,
     MaturityRecord,
     NoiseSpec,
     PlanarPose,
@@ -99,7 +98,7 @@ def test_criterion_01_gravity_projection_matches_rotation_oracle():
         )
         ranges = rng.uniform(0.5, 10.0, BEAMS)
         scan = Scan2D(stamp=k, angle_min=-math.pi, angle_increment=2.0 * math.pi / BEAMS, ranges=ranges)
-        leveled = gravity_project(scan, GravityVector(k, Vec3(*g)))
+        leveled = gravity_project(scan, g)
 
         pts = _scan_endpoints(ranges)
         flat = pts - np.outer(pts @ g, g)
@@ -125,7 +124,7 @@ def test_criterion_01_gravity_projection_matches_rotation_oracle():
     # A level scan passes through unchanged.
     ranges = rng.uniform(0.5, 10.0, BEAMS)
     scan = Scan2D(stamp=99, angle_min=-math.pi, angle_increment=2.0 * math.pi / BEAMS, ranges=ranges)
-    level = gravity_project(scan, GravityVector(99, Vec3(0.0, 0.0, -1.0)))
+    level = gravity_project(scan, down)
     assert np.abs(level.points_xy - _scan_endpoints(ranges)[:, :2]).max() < 1e-12
     assert time.perf_counter() - t0 < 1.0
 

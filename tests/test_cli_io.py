@@ -18,7 +18,7 @@ import thermoslam
 from thermoslam import (
     Calibration,
     CameraIntrinsics,
-    ImuSample,
+    ImuSeries,
     NoiseSpec,
     PlanarPose,
     RigidTransform3,
@@ -55,6 +55,7 @@ from thermoslam.cli_io import (
 )
 from thermoslam.cli_io.cli import main
 from thermoslam.cli_io.formats import (
+    TRAJECTORY_HEADER,
     atomic_write_bytes,
     read_pgm16,
     read_report,
@@ -148,13 +149,12 @@ def test_scans_csv_diagnostics(tmp_path):
 
 
 def test_imu_csv_roundtrip_and_diagnostics(tmp_path):
-    samples = [
-        ImuSample(0, Vec3(0.01, -0.02, -9.81)),
-        ImuSample(10_000_000, Vec3(-0.005, 0.0, -9.8)),
-    ]
+    samples = ImuSeries([0, 10_000_000], [(0.01, -0.02, -9.81), (-0.005, 0.0, -9.8)])
     path = tmp_path / "imu.csv"
     write_imu_csv(path, samples)
-    assert read_imu_csv(path) == samples
+    back = read_imu_csv(path)
+    assert np.array_equal(back.stamps, samples.stamps)
+    assert np.array_equal(back.accel, samples.accel)
 
     path.write_text("stamp_ns,ax,ay,az\n0,0.0,inf,-9.8\n")
     with pytest.raises(DatasetFormatError, match="finite"):
@@ -212,7 +212,7 @@ def _write_table(table: str, directory, stamps: list[int]):
         write_scans_csv(path, [Scan2D(s, 0.0, 0.1, [1.0, 2.0]) for s in stamps])
         return path, lambda: read_scans_csv(path)
     if table == "imu":
-        write_imu_csv(path, [ImuSample(s, Vec3(0.0, 0.0, -9.8)) for s in stamps])
+        write_imu_csv(path, ImuSeries(stamps, [(0.0, 0.0, -9.8)] * len(stamps)))
         return path, lambda: read_imu_csv(path)
     if table == "groundtruth":
         write_trajectory_csv(path, [(s, PlanarPose(0.1 * k, 0.0, 0.0)) for k, s in enumerate(stamps)])
@@ -232,6 +232,20 @@ def test_stamped_tables_reject_repeated_stamps(tmp_path, table):
     with pytest.raises(DatasetFormatError) as err:
         read()
     assert str(err.value) == f"{path}:4: timestamp 5 repeats (previous 5)"
+
+
+@pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index"])
+def test_stamped_tables_reject_stamps_beyond_int64(tmp_path, table):
+    # Mapping holds stamps in int64 arrays, so a larger stamp is refused
+    # where it is read, with its line, and not in `map`.
+    path, read = _write_table(table, tmp_path, [0, 5, 6])
+    header, first, second, third = path.read_text().splitlines()
+    path.write_text(f"{header}\n{first}\n{second}\n{2**63}{third[1:]}\n")
+    with pytest.raises(DatasetFormatError) as err:
+        read()
+    assert str(err.value) == f"{path}:4: stamp_ns must fit a signed 64-bit integer, got '{2**63}'"
+    path.write_text(f"{header}\n{-(2**63)}{first[1:]}\n{second}\n{third}\n")
+    assert len(read()) == 3
 
 
 @pytest.mark.parametrize("table", ["scans", "imu", "groundtruth", "thermal_index"])
@@ -272,6 +286,54 @@ def test_tables_reject_blank_rows(tmp_path, table):
     with pytest.raises(DatasetFormatError) as err:
         read()
     assert str(err.value) == f"{path}:3: blank line"
+
+
+def test_tables_split_rows_at_every_line_boundary(tmp_path):
+    # The boundaries of str.splitlines: a carriage return alone or before a
+    # newline, vertical tab, form feed, and the file, group and record
+    # separators. Row k (from 0) stays on line k + 2.
+    path = tmp_path / "groundtruth.csv"
+    rows = [TRAJECTORY_HEADER] + [f"{k},{k}.5,0.0,0.0" for k in range(8)]
+    ends = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\n", ""]
+    path.write_bytes("".join(row + end for row, end in zip(rows, ends)).encode())
+    assert read_trajectory_csv(path) == [(k, PlanarPose(k + 0.5, 0.0, 0.0)) for k in range(8)]
+    rows[7] = "6,six,0.0,0.0"
+    path.write_bytes("".join(row + end for row, end in zip(rows, ends)).encode())
+    with pytest.raises(DatasetFormatError) as err:
+        read_trajectory_csv(path)
+    assert str(err.value) == f"{path}:8: bad x: 'six'"
+    # A separator right before a newline ends an empty line.
+    path.write_bytes(f"{rows[0]}\n{rows[1]}\v\n{rows[2]}\n".encode())
+    with pytest.raises(DatasetFormatError) as err:
+        read_trajectory_csv(path)
+    assert str(err.value) == f"{path}:3: blank line"
+
+    # Far past the first read of the file: the row count, and the line of a
+    # bad row, are those of the whole text split at once.
+    rows = [TRAJECTORY_HEADER] + [f"{k},0.25,0.0,0.0" for k in range(6000)]
+    path.write_bytes("\r\n".join(rows).encode())
+    assert len(read_trajectory_csv(path)) == 6000
+    rows[5001] = "5000,far,0.0,0.0"
+    path.write_bytes("\r\n".join(rows).encode())
+    with pytest.raises(DatasetFormatError) as err:
+        read_trajectory_csv(path)
+    assert str(err.value) == f"{path}:5002: bad x: 'far'"
+
+
+def test_read_scans_csv_holds_no_copy_of_the_file(tmp_path):
+    rng = np.random.default_rng(22)
+    path = tmp_path / "scans.csv"
+    write_scans_csv(path, [Scan2D(k, -math.pi, 0.026, rng.uniform(0.5, 9.0, 240)) for k in range(300)])
+    tracemalloc.start()
+    try:
+        scans = read_scans_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scans) == 300
+    # The scans themselves take about half the file's size; the text of
+    # the whole file and its list of lines would take twice its size.
+    assert peak < path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +377,12 @@ def test_thermal_raw_quantization():
     assert np.max(np.abs(back - temps)) <= 0.005 + 1e-12
     with pytest.raises(ValueError):
         temperatures_to_raw(np.array([1000.0]), scale=0.01, offset=-100.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_temperatures_to_raw_refuses_non_finite_temperatures(value):
+    with pytest.raises(ValueError, match="finite"):
+        temperatures_to_raw(np.array([20.0, value]), scale=0.01, offset=-100.0)
 
 
 def test_thermal_frames_roundtrip(tmp_path):
@@ -484,6 +552,23 @@ def test_read_calib_rejects_impossible_extrusion(tmp_path, key, value):
         read_calib(path)
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.01, math.nan, math.inf])
+def test_calibration_rejects_a_thermal_scale_that_is_not_finite_and_positive(tmp_path, scale):
+    # A scale of 0 decodes every frame to the offset, which passes every
+    # frame check; a negative scale inverts the field.
+    with pytest.raises(ValueError, match="thermal_scale"):
+        dataclasses.replace(_small_calib(), thermal_scale=scale)
+    path = tmp_path / "calib.txt"
+    write_calib(path, _small_calib())
+    text = path.read_text()
+    assert "\nthermal_scale=0.01\n" in text
+    path.write_text(text.replace("\nthermal_scale=0.01\n", f"\nthermal_scale={scale!r}\n"))
+    with pytest.raises(DatasetFormatError) as err:
+        read_calib(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert "thermal_scale" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # Whole sessions.
 
@@ -499,7 +584,8 @@ def test_save_load_session_roundtrip(tmp_path):
         assert back.angle_min == orig.angle_min
         assert back.angle_increment == orig.angle_increment
         assert np.array_equal(back.ranges, orig.ranges, equal_nan=True)
-    assert loaded.imu == dataset.imu
+    assert np.array_equal(loaded.imu.stamps, dataset.imu.stamps)
+    assert np.array_equal(loaded.imu.accel, dataset.imu.accel)
     assert loaded.ground_truth == dataset.ground_truth
     assert len(loaded.frames) == len(dataset.frames)
     for orig, back in zip(dataset.frames, loaded.frames):
@@ -632,10 +718,7 @@ def _pinned_session() -> SessionDataset:
             Scan2D(1_000_000_000, -math.pi, 0.25, [1.5, math.nan, 2.125, 0.1]),
             Scan2D(1_100_000_000, -3.0, 0.125, [3.0, 0.7, math.nan, 1e-3]),
         ],
-        imu=[
-            ImuSample(1_000_000_000, Vec3(0.03, -0.01, -9.81)),
-            ImuSample(1_010_000_000, Vec3(0.0, 0.125, -9.8)),
-        ],
+        imu=ImuSeries([1_000_000_000, 1_010_000_000], [(0.03, -0.01, -9.81), (0.0, 0.125, -9.8)]),
         frames=[ThermalImage(1_000_000_000, 20.0 + 0.37 * ramp), ThermalImage(1_500_000_000, 15.5 + 0.01 * ramp)],
         calib=calib,
         ground_truth=[(1_000_000_000, PlanarPose(1.0, 0.8, 0.0)), (1_100_000_000, PlanarPose(1.05, 0.8, 0.1))],
@@ -699,7 +782,7 @@ def test_write_delta_csv_layout(tmp_path):
 
 
 def test_run_mapping_rejects_empty_session():
-    dataset = SessionDataset(scans=[], imu=[], frames=[], calib=_small_calib())
+    dataset = SessionDataset(scans=[], imu=ImuSeries([], np.empty((0, 3))), frames=[], calib=_small_calib())
     with pytest.raises(ValueError, match="no scans"):
         run_mapping(dataset)
 

@@ -17,7 +17,7 @@ from thermoslam import (
     rotation_aligning,
     wrap_angle,
 )
-from thermoslam.core import GravityVector, wrap_angles
+from thermoslam.core import ImuSeries, wrap_angles
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -139,10 +139,19 @@ def test_scan2d_normalizes_inf_and_validates():
         Scan2D(0, 0.0, 0.1, [1.0, -math.inf])
 
 
-def test_gravity_vector_requires_unit_direction():
-    GravityVector(0, Vec3(0.0, 0.0, -1.0))
-    with pytest.raises(ValueError):
-        GravityVector(0, Vec3(0.0, 0.0, -1.01))
+def test_imu_series_holds_one_finite_row_per_stamp():
+    imu = ImuSeries([0, 10], [[0.0, 0.0, -9.8], [0.125, 0.0, -9.8]])
+    assert len(imu) == 2
+    assert imu.stamps.dtype == np.int64 and imu.accel.dtype == np.float64
+    assert len(ImuSeries(np.empty(0, dtype=np.int64), np.empty((0, 3)))) == 0
+    with pytest.raises(ValueError, match="one"):
+        ImuSeries([0, 10], [[0.0, 0.0, -9.8]])
+    with pytest.raises(ValueError, match="one"):
+        ImuSeries([0], [0.0, 0.0, -9.8])
+    with pytest.raises(ValueError, match="finite"):
+        ImuSeries([0, 10], [[0.0, 0.0, -9.8], [math.nan, 0.0, -9.8]])
+    with pytest.raises(ValueError, match="finite"):
+        ImuSeries([0], [[0.0, math.inf, -9.8]])
 
 
 def test_huber_loss_branches():

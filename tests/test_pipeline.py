@@ -1,6 +1,7 @@
 """Stage order and memory of ``cli_io.pipeline.run_mapping``.
 
-The pipeline solves the pose graph before any wall cloud exists, then
+Odometry levels and matches each scan as it arrives and keeps only the
+keyframe scans. The pipeline solves the pose graph before any wall cloud exists, then
 extrudes and paints one keyframe at a time, in place, with a distance grid
 that lives only while that keyframe is painted, and folds the painted
 cloud into the map before the next keyframe is extruded. These tests watch the calls
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
-from thermoslam import GravityVector, NoiseSpec, TrajectorySpec, rectangle_site, simulate_session
+from thermoslam import NoiseSpec, ProjectedScan, TrajectorySpec, rectangle_site, simulate_session
 from thermoslam.cli_io import pipeline
 
 # Two laps of a square inside the 4 x 4 m room: the second lap revisits the
@@ -106,21 +108,36 @@ def test_run_mapping_never_holds_every_keyframe_grid(looped_session, monkeypatch
     assert peak < grid_bytes / 2
 
 
-def test_run_mapping_keeps_only_the_paired_gravity_for_the_solve(looped_session, monkeypatch):
-    def live_gravity():
+def test_run_mapping_holds_only_the_keyframe_scans_and_the_latest(looped_session, monkeypatch):
+    live = weakref.WeakSet()  # every ProjectedScan made during the run
+    keyframes = weakref.WeakSet()  # every scan odometry matched against
+    post_init = ProjectedScan.__post_init__
+
+    def tracked(self):
+        post_init(self)
+        live.add(self)
+
+    monkeypatch.setattr(ProjectedScan, "__post_init__", tracked)
+    match, solve = pipeline.match_scans, pipeline.optimize
+    at_match = []
+    at_solve = []
+
+    def counted_match(reference, moving, **kwargs):
+        keyframes.add(reference)
+        at_match.append((len(live), len(keyframes)))
+        return match(reference, moving, **kwargs)
+
+    def counted_solve(graph):
         gc.collect()
-        return sum(isinstance(obj, GravityVector) for obj in gc.get_objects())
-
-    solve = pipeline.optimize
-    held = []
-
-    def counted(graph):
-        held.append(live_gravity())
+        at_solve.append((len(live), len(graph.nodes)))
         return solve(graph)
 
-    monkeypatch.setattr(pipeline, "optimize", counted)
-    before = live_gravity()
-    pipeline.run_mapping(looped_session)
-    # One filtered vector per IMU sample would be many times the scan count;
-    # only each scan's paired vector may outlive the pairing.
-    assert held[0] - before <= len(looped_session.scans)
+    monkeypatch.setattr(pipeline, "match_scans", counted_match)
+    monkeypatch.setattr(pipeline, "optimize", counted_solve)
+    diagnostics = pipeline.run_mapping(looped_session).diagnostics
+    assert len(at_match) == len(looped_session.scans) - 1 > diagnostics["keyframes"]
+    # At each odometry match only the keyframes so far and the scan being
+    # matched exist; leveling every scan first would hold them all.
+    assert all(held <= kept + 1 for held, kept in at_match), max(held - kept for held, kept in at_match)
+    # Past loop detection only the keyframes' points are left.
+    assert at_solve == [(diagnostics["keyframes"], diagnostics["keyframes"])]

@@ -10,7 +10,6 @@ from thermoslam import (
     PlanarPose,
     Scan2D,
     SiteModel,
-    Vec3,
     WallSegment,
     compose,
     inverse,
@@ -19,7 +18,7 @@ from thermoslam import (
     uniform_field,
 )
 from thermoslam.cli_io import run_mapping
-from thermoslam.core import GravityVector, ImuSample
+from thermoslam.core import ImuSeries
 from thermoslam.scan_frontend import (
     DISTANCE_GATE,
     MATCH_LOSS,
@@ -64,46 +63,66 @@ def _displaced_copy(points: np.ndarray, pose: PlanarPose) -> np.ndarray:
 # Gravity filtering and association.
 
 
+def _imu(stamps, accel) -> ImuSeries:
+    return ImuSeries(np.asarray(stamps, dtype=np.int64), np.asarray(accel, dtype=float).reshape(-1, 3))
+
+
 def test_filter_gravity_constant_stream_is_unit_direction():
-    samples = [ImuSample(k, Vec3(0.0, 0.0, -9.81)) for k in range(10)]
-    out = filter_gravity(samples)
-    assert len(out) == 10
-    for sample, g in zip(samples, out):
-        assert g.direction == Vec3(0.0, 0.0, -1.0)
-        assert g.stamp == sample.stamp
+    out = filter_gravity(_imu(range(10), [(0.0, 0.0, -9.81)] * 10))
+    assert out.shape == (10, 3)
+    assert np.array_equal(out, np.tile([0.0, 0.0, -1.0], (10, 1)))
 
 
 def test_filter_gravity_converges_to_new_direction():
-    samples = [ImuSample(0, Vec3(5.0, 0.0, -8.0))]
-    samples += [ImuSample(k, Vec3(0.0, 0.0, -9.81)) for k in range(1, 200)]
-    out = filter_gravity(samples, alpha=0.05)
-    assert out[-1].direction.as_array() @ np.array([0.0, 0.0, -1.0]) > 0.9999
+    out = filter_gravity(_imu(range(200), [(5.0, 0.0, -8.0)] + [(0.0, 0.0, -9.81)] * 199), alpha=0.05)
+    assert out[-1] @ np.array([0.0, 0.0, -1.0]) > 0.9999
+
+
+def test_filter_gravity_equals_a_per_sample_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    accel = np.array([0.0, 0.0, -9.80665]) + rng.normal(0.0, 0.3, (500, 3))
+    imu = _imu(np.arange(500) * 10_000_000, accel)
+    for alpha in (0.05, 0.3, 1.0):
+        # The reference filters one reading at a time, from Python floats.
+        rows = [tuple(float(v) for v in row) for row in accel]
+        state = np.array(rows[0])
+        expected = []
+        for row in rows:
+            state = (1.0 - alpha) * state + alpha * np.array(row)
+            expected.append(state / np.linalg.norm(state))
+        assert filter_gravity(imu, alpha=alpha).tobytes() == np.array(expected).tobytes()
 
 
 def test_filter_gravity_validation():
+    with pytest.raises(ValueError, match="empty"):
+        filter_gravity(_imu([], []))
     with pytest.raises(ValueError):
-        filter_gravity([])
-    with pytest.raises(ValueError):
-        filter_gravity([ImuSample(0, Vec3(0, 0, -9.8))], alpha=0.0)
+        filter_gravity(_imu([0], [(0, 0, -9.8)]), alpha=0.0)
+    # Opposite readings average to the zero vector.
+    with pytest.raises(ValueError, match="collapsed"):
+        filter_gravity(_imu([0, 1], [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]), alpha=0.5)
 
 
 def test_associate_gravity_nearest_with_tie_to_earlier():
     def scan(stamp):
         return Scan2D(stamp, 0.0, 0.1, [1.0, 1.0])
 
-    gravity = [GravityVector(s, Vec3(0, 0, -1.0)) for s in (0, 100, 200)]
-    scans = [scan(49), scan(50), scan(151), scan(500)]
-    pairs, dropped = associate_gravity(scans, gravity, max_offset_ns=200)
-    assert dropped == 1
-    assert [g.stamp for _, g in pairs] == [0, 0, 200]
+    stamps = np.array([0, 100, 200], dtype=np.int64)
+    # 50 ties between 0 and 100; -200 and 400 lie exactly max_offset_ns
+    # outside the stream, 401 one nanosecond farther.
+    scans = [scan(-200), scan(49), scan(50), scan(51), scan(151), scan(400), scan(401), scan(500)]
+    pairs, dropped = associate_gravity(scans, stamps, max_offset_ns=200)
+    assert dropped == 2
+    assert [(s.stamp, i) for s, i in pairs] == [(-200, 0), (49, 0), (50, 0), (51, 1), (151, 2), (400, 2)]
 
 
 def test_associate_gravity_rejects_unsorted():
-    gravity = [GravityVector(100, Vec3(0, 0, -1.0)), GravityVector(0, Vec3(0, 0, -1.0))]
     with pytest.raises(ValueError):
-        associate_gravity([Scan2D(0, 0.0, 0.1, [1.0, 1.0])], gravity)
+        associate_gravity([Scan2D(0, 0.0, 0.1, [1.0, 1.0])], np.array([100, 0]))
     with pytest.raises(ValueError):
-        associate_gravity([], [])
+        associate_gravity([Scan2D(5, 0.0, 0.1, [1.0, 1.0]), Scan2D(4, 0.0, 0.1, [1.0, 1.0])], np.array([0, 10]))
+    with pytest.raises(ValueError):
+        associate_gravity([], np.array([], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +148,7 @@ def test_project_points_to_plane_orthogonal_and_idempotent():
 
 def test_gravity_project_level_scan_is_bit_exact():
     scan = Scan2D(3, -1.0, 0.02, np.linspace(1.0, 4.0, 50))
-    projected = gravity_project(scan, GravityVector(3, Vec3(0.0, 0.0, -1.0)))
+    projected = gravity_project(scan, np.array([0.0, 0.0, -1.0]))
     assert projected.stamp == 3
     assert np.array_equal(projected.points_xy, scan_to_points(scan)[:, :2])
 
@@ -137,7 +156,7 @@ def test_gravity_project_level_scan_is_bit_exact():
 def test_gravity_project_rejects_degenerate_scan():
     scan = Scan2D(0, 0.0, 0.1, [1.0, math.nan, math.nan])
     with pytest.raises(DegenerateScanError):
-        gravity_project(scan, GravityVector(0, Vec3(0.0, 0.0, -1.0)))
+        gravity_project(scan, np.array([0.0, 0.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,8 @@ def test_simulate_session_same_seed_is_identical():
     b = simulate_session(site, traj, noise, seed=42)
     for scan_a, scan_b in zip(a.scans, b.scans):
         assert np.array_equal(scan_a.ranges, scan_b.ranges, equal_nan=True)
-    for imu_a, imu_b in zip(a.imu, b.imu):
-        assert imu_a.accel == imu_b.accel
+    assert np.array_equal(a.imu.stamps, b.imu.stamps)
+    assert np.array_equal(a.imu.accel, b.imu.accel)
     for frame_a, frame_b in zip(a.frames, b.frames):
         assert np.array_equal(frame_a.temperatures, frame_b.temperatures)
     c = simulate_session(site, traj, noise, seed=43)
@@ -351,8 +351,8 @@ def test_simulated_gravity_points_down_when_level():
     site = _square_site()
     traj = TrajectorySpec(waypoints=((-1.0, 0.0), (1.0, 0.0)), speed=0.5)
     dataset = simulate_session(site, traj, NoiseSpec(), seed=3)
-    for sample in dataset.imu[:20]:
-        direction = sample.accel.as_array() / np.linalg.norm(sample.accel.as_array())
+    for accel in dataset.imu.accel[:20]:
+        direction = accel / np.linalg.norm(accel)
         assert np.allclose(direction, [0.0, 0.0, -1.0], atol=1e-12)
 
 
