@@ -953,6 +953,52 @@ def test_cli_maturity_rejects_bad_datum_and_rate(tmp_path, capsys, flag, value, 
     assert not out.exists()
 
 
+# Temperatures at the monitored points of a 4-epoch series (None: the point
+# is 6 cm off, beyond the 5 cm match radius), one row per point, each in its
+# own 0.2 m voxel. At --max-rate 5: row 1 warms 8.4 C/h from epoch 0 to 1,
+# row 2 cools 6.5 C/h from epoch 2 to 3, row 3 skips epoch 1 and then warms
+# exactly 5 C/h, rows 4 and 5 have one sample each, and row 6 stays below
+# the -10 C datum.
+MATURITY_TIMES = (0.0, 2.5, 6.25, 10.0)
+MATURITY_TEMPS = (
+    (20.0, 21.3, 22.0, 23.7),
+    (20.0, 41.0, 42.5, 43.0),
+    (30.0, 31.0, 30.5, 6.125),
+    (20.0, None, 30.0, 48.75),
+    (18.5, None, None, None),
+    (19.25, None, None, None),
+    (-20.0, -15.0, -12.5, -25.0),
+)
+MATURITY_SHA256 = {
+    "maturity.txt": "4cceb135f778f685d2df284892a14771cb7fe57becb57bc0c824ff23a15a5005",
+    "maturity_points.csv": "4cfeadd0e38e11db75e57b6604937692274c40fc46b706a4592c790978936b80",
+}
+
+
+def test_cli_maturity_pins_bytes(tmp_path, capsys):
+    series = tmp_path / "series"
+    series.mkdir()
+    # Two more points in row 0's voxel: the monitored position is the map
+    # point nearest the voxel centroid, not the centroid.
+    extra = ThermalPointCloud([[0.04, 0.1, 1.1], [0.19, 0.1, 1.1]], [25.0, 25.0])
+    for epoch, time_h in enumerate(MATURITY_TIMES):
+        rows = [(k, temps[epoch]) for k, temps in enumerate(MATURITY_TEMPS)]
+        positions = [[1.0 * k + 0.1 + (0.06 if temp is None else 0.0), 0.1, 1.1] for k, temp in rows]
+        temperatures = [20.0 if temp is None else temp for _, temp in rows]
+        if epoch == 0:
+            positions += extra.positions.tolist()
+            temperatures += extra.temperatures.tolist()
+        export_ply(ThermalPointCloud(positions, temperatures), series / f"epoch{epoch}.ply")
+    write_series_csv(series / "series.csv", [(t, f"epoch{k}.ply") for k, t in enumerate(MATURITY_TIMES)])
+    out = tmp_path / "out" / "maturity.txt"
+    out.parent.mkdir()
+    assert main(["maturity", "--series", str(series), "--max-rate", "5", "--out", str(out)]) == 0
+    assert "maturity over 4 sessions, 5 tracked positions" in capsys.readouterr().out
+    assert read_report(out)["rate_violations"] == "2"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.parent.iterdir())}
+    assert digests == MATURITY_SHA256
+
+
 def test_cli_import_leaves_the_sparse_solvers_unloaded():
     # Only `map` solves a pose graph; every command imports the CLI module.
     src = str(Path(thermoslam.__file__).resolve().parent.parent)
