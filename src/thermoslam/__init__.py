@@ -54,7 +54,6 @@ from .monitor import (
     AlignmentError,
     DeltaReport,
     MaturityRecord,
-    RateViolation,
     accumulate_maturity,
     icp_align,
     rate_alert,

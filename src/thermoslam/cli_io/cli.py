@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..core import Vec3
 from ..monitor import (
+    MATCH_RADIUS,
     MaturityRecord,
     accumulate_maturity,
     icp_align,
@@ -38,7 +38,6 @@ from .. import thermal_map
 from . import formats
 from .pipeline import run_mapping
 
-MATURITY_MATCH_RADIUS = 0.05
 MATURITY_THIN_VOXEL = 0.2
 
 
@@ -198,55 +197,48 @@ def _cmd_maturity(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-rate must be a number >= 0, got {args.max_rate}")
     series_dir = Path(args.series)
     entries = formats.read_series_csv(series_dir / "series.csv")
-    sessions = []
+    record = None
     for time_h, name in entries:
         cloud = formats.read_ply(series_dir / name).drop_unset()
         if len(cloud) == 0:
             raise ValueError(f"{series_dir / name}: no temperature-set points")
-        sessions.append((time_h, cloud))
-
-    first_cloud = sessions[0][1]
-    centers, _ = thermal_map.voxel_thin(first_cloud.positions, first_cloud.temperatures, MATURITY_THIN_VOXEL)
-    # Snap the voxel centroids onto real map points: a centroid can sit
-    # farther than the match radius from every point that produced it, so
-    # monitoring the centroid itself would track nothing.
-    _, nearest = cKDTree(first_cloud.positions).query(centers)
-    first_positions = first_cloud.positions[np.unique(nearest)]
-    records = [
-        MaturityRecord(position=Vec3.from_array(pos), datum_temperature=args.datum) for pos in first_positions
-    ]
-    for time_h, cloud in sessions:
         tree = cKDTree(cloud.positions)
-        dist, idx = tree.query(first_positions)
-        temps = cloud.temperatures[idx]
-        for k in np.flatnonzero(dist <= MATURITY_MATCH_RADIUS):
-            records[k] = accumulate_maturity(records[k], (time_h, float(temps[k])))
+        if record is None:
+            centers, _ = thermal_map.voxel_thin(cloud.positions, cloud.temperatures, MATURITY_THIN_VOXEL)
+            # Snap the voxel centroids onto real map points: a centroid can
+            # sit farther than the match radius from every point that
+            # produced it, so monitoring the centroid itself would track
+            # nothing.
+            _, nearest = tree.query(centers)
+            record = MaturityRecord(cloud.positions[np.unique(nearest)], args.datum)
+            violations = np.zeros(len(record.position), dtype=np.int64)
+        dist, idx = tree.query(record.position)
+        folded = accumulate_maturity(record, (time_h, cloud.temperatures[idx]), where=dist <= MATCH_RADIUS)
+        violations += rate_alert(record, folded, args.max_rate)
+        record = folded
+        # Only this map's samples outlive the step.
+        del cloud, tree
 
-    tracked = [r for r in records if len(r.samples) >= 2]
-    violations = {id(r): rate_alert(r, args.max_rate) for r in tracked}
-    total_violations = sum(len(v) for v in violations.values())
-    maturities = np.array([r.maturity for r in tracked]) if tracked else np.empty(0)
-
+    maturities = record.maturity[record.sample_count >= 2]
     out = Path(args.out)
     formats.write_report(
         out,
         {
-            "sessions": len(sessions),
-            "monitor_positions": len(records),
-            "positions_with_history": len(tracked),
+            "sessions": len(entries),
+            "monitor_positions": len(record.position),
+            "positions_with_history": maturities.size,
             "datum_c": float(args.datum),
             "max_rate_c_per_h": float(args.max_rate),
             "maturity_min_ch": float(maturities.min()) if maturities.size else math.nan,
             "maturity_mean_ch": float(maturities.mean()) if maturities.size else math.nan,
             "maturity_max_ch": float(maturities.max()) if maturities.size else math.nan,
-            "rate_violations": total_violations,
+            "rate_violations": int(violations.sum()),
         },
     )
     formats.write_maturity_points_csv(
-        out.parent / (out.stem + "_points.csv"),
-        [(r.position, len(r.samples), r.maturity, len(violations.get(id(r), []))) for r in records],
+        out.parent / (out.stem + "_points.csv"), record.position, record.sample_count, record.maturity, violations
     )
-    print(f"maturity over {len(sessions)} sessions, {len(tracked)} tracked positions -> {out}")
+    print(f"maturity over {len(entries)} sessions, {maturities.size} tracked positions -> {out}")
     return 0
 
 

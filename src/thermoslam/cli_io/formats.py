@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import ImuSeries, PlanarPose, RigidTransform3, Scan2D, Timestamp, Vec3
+from ..core import ImuSeries, PlanarPose, RigidTransform3, Scan2D, Timestamp
 from ..sim import SessionDataset
 from ..thermal_map import Calibration, CameraIntrinsics, ThermalFrame, ThermalPointCloud, decode_celsius
 
@@ -701,11 +701,13 @@ def write_delta_csv(path: Path, positions: np.ndarray, deltas: np.ndarray) -> No
     _write_lines(path, lines)
 
 
-def write_maturity_points_csv(path: Path, rows: list[tuple[Vec3, int, float, int]]) -> None:
+def write_maturity_points_csv(
+    path: Path, positions: np.ndarray, samples: np.ndarray, maturity: np.ndarray, violations: np.ndarray
+) -> None:
     """One row per monitor position: position, sample count, maturity, rate violations."""
     lines = ["x,y,z,samples,maturity_ch,violations"]
-    for position, samples, maturity, violations in rows:
-        lines.append(f"{_fmt(position.x)},{_fmt(position.y)},{_fmt(position.z)},{samples},{_fmt(maturity)},{violations}")
+    for (x, y, z), count, total, alerts in zip(positions, samples, maturity, violations):
+        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{count},{_fmt(total)},{alerts}")
     _write_lines(path, lines)
 
 

@@ -1,9 +1,10 @@
 """Cross-session map comparison for curing-heat monitoring.
 
 Aligns two temperature-annotated wall clouds from different capture
-sessions, reports per-point temperature changes, and accumulates a
-Nurse-Saul maturity index with rate-of-change alerts for individual
-monitoring positions.
+sessions, reports per-point temperature changes, and folds each
+session's samples of a set of monitoring positions into a Nurse-Saul
+maturity index, flagging the positions whose temperature changed too
+fast since their previous sample.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .thermal_map import ThermalPointCloud
 __all__ = [
     "AlignmentError",
     "DeltaReport",
+    "MATCH_RADIUS",
     "MaturityRecord",
-    "RateViolation",
     "ThermalPointCloud",
     "accumulate_maturity",
     "icp_align",
@@ -30,6 +31,11 @@ __all__ = [
     "temperature_delta",
     "transform_cloud",
 ]
+
+
+# A point of one session stands for a point of another within this
+# distance, in metres: temperature deltas and maturity samples alike.
+MATCH_RADIUS = 0.05
 
 
 class AlignmentError(RuntimeError):
@@ -53,33 +59,32 @@ class DeltaReport:
     no_overlap: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaturityRecord:
-    """Accumulated-heat history of one monitoring position.
+    """Nurse-Saul maturity state of one or many monitoring positions.
 
-    samples are (time in hours, surface temperature in degC) in strictly
-    increasing time order; maturity is the Nurse-Saul integral
-    sum(max(0, T_avg - datum) * dt) over consecutive sample pairs. A
-    datum_temperature that is not finite raises ValueError.
+    position is carried as given: one Vec3, or an (N, 3) array of them.
+    sample_count, last_time_h, last_temperature and maturity hold one
+    entry per position; they take the shape of the samples folded in by
+    accumulate_maturity, and before the first fold they are the scalars
+    "no sample yet" (0, NaN, NaN, 0.0). maturity is the Nurse-Saul sum
+    of max(0, T_avg - datum) * dt over each position's consecutive
+    samples, in degC hours. A datum_temperature that is not finite raises
+    ValueError.
     """
 
-    position: Vec3
-    samples: tuple[tuple[float, float], ...] = ()
-    maturity: float = 0.0
+    position: Vec3 | np.ndarray
     datum_temperature: float = -10.0
+    sample_count: np.ndarray | int = 0
+    last_time_h: np.ndarray | float = math.nan
+    last_temperature: np.ndarray | float = math.nan
+    maturity: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
         # With a NaN or +inf datum every gain max(0.0, T_avg - datum) is
         # 0.0, with -inf it is inf: either way without complaint.
         if not math.isfinite(self.datum_temperature):
             raise ValueError(f"datum temperature must be finite, got {self.datum_temperature}")
-
-
-@dataclass(frozen=True)
-class RateViolation:
-    start_h: float
-    end_h: float
-    rate_c_per_h: float
 
 
 def transform_cloud(cloud: ThermalPointCloud, transform: RigidTransform3) -> ThermalPointCloud:
@@ -192,22 +197,18 @@ def icp_align(
     return transform, rms
 
 
-def temperature_delta(
-    reference: ThermalPointCloud,
-    aligned_moving: ThermalPointCloud,
-    match_radius: float = 0.05,
-) -> DeltaReport:
+def temperature_delta(reference: ThermalPointCloud, aligned_moving: ThermalPointCloud) -> DeltaReport:
     """Per-point temperature change from reference to an aligned session.
 
     For every reference point whose nearest neighbor in aligned_moving
-    lies within match_radius, reports dT = T_moving - T_reference. The
+    lies within MATCH_RADIUS, reports dT = T_moving - T_reference. The
     clouds must already be in a common frame.
     """
     _require_monitor_cloud(reference, "reference")
     _require_monitor_cloud(aligned_moving, "moving")
     tree = cKDTree(aligned_moving.positions)
     dist, idx = tree.query(reference.positions)
-    keep = dist <= match_radius
+    keep = dist <= MATCH_RADIUS
     if not np.any(keep):
         return DeltaReport(
             positions=np.empty((0, 3)),
@@ -230,44 +231,55 @@ def temperature_delta(
 
 def accumulate_maturity(
     record: MaturityRecord,
-    new_sample: tuple[float, float],
+    sample: tuple[float | np.ndarray, float | np.ndarray],
+    where: bool | np.ndarray = True,
 ) -> MaturityRecord:
-    """Fold one (time h, temperature degC) sample into a maturity record.
+    """Fold one (time h, temperature degC) sample per position into a new record.
 
-    Adds max(0, (T_last + T_new)/2 - datum) * dt to the accumulated
-    maturity; the clamp keeps sub-datum periods from subtracting heat.
-    New sample times must strictly increase.
+    time and temperature broadcast against where and the record's
+    arrays. Each position where `where` holds takes its sample: the first
+    sample only sets the state, and each later one adds
+    max(0, (T_last + T_new)/2 - datum) * dt to its maturity; the clamp
+    keeps sub-datum periods from subtracting heat. Other positions keep
+    their state. A folded sample that is not finite, or whose time does
+    not advance past its position's last sample, raises ValueError. The
+    input record is not changed.
     """
-    time_h, temp_c = float(new_sample[0]), float(new_sample[1])
-    if not (math.isfinite(time_h) and math.isfinite(temp_c)):
+    time_h, temp_c, seen, count, last_time, last_temp, maturity = np.broadcast_arrays(
+        np.asarray(sample[0], dtype=float), np.asarray(sample[1], dtype=float), np.asarray(where, dtype=bool),
+        record.sample_count, record.last_time_h, record.last_temperature, record.maturity,
+    )
+    if not (np.isfinite(time_h[seen]).all() and np.isfinite(temp_c[seen]).all()):
         raise ValueError("maturity samples must be finite")
-    if not record.samples:
-        return MaturityRecord(record.position, ((time_h, temp_c),), record.maturity, record.datum_temperature)
-    last_time, last_temp = record.samples[-1]
-    if time_h <= last_time:
-        raise ValueError(f"sample time {time_h} h does not advance past {last_time} h")
-    gain = max(0.0, (last_temp + temp_c) / 2.0 - record.datum_temperature) * (time_h - last_time)
+    fold = seen & (count > 0)
+    t0, t1, c0, c1 = last_time[fold], time_h[fold], last_temp[fold], temp_c[fold]
+    stalled = np.flatnonzero(t1 <= t0)
+    if stalled.size:
+        raise ValueError(f"sample time {t1[stalled[0]]} h does not advance past {t0[stalled[0]]} h")
+    total = maturity.astype(float)
+    total[fold] += np.maximum(0.0, (c0 + c1) / 2.0 - record.datum_temperature) * (t1 - t0)
     return MaturityRecord(
         record.position,
-        record.samples + ((time_h, temp_c),),
-        record.maturity + gain,
         record.datum_temperature,
+        count + seen,
+        np.where(seen, time_h, last_time),
+        np.where(seen, temp_c, last_temp),
+        total,
     )
 
 
-def rate_alert(record: MaturityRecord, max_rate: float) -> list[RateViolation]:
-    """Intervals where the temperature slope magnitude exceeds max_rate.
+def rate_alert(before: MaturityRecord, after: MaturityRecord, max_rate: float) -> np.ndarray:
+    """Positions whose newest interval changes faster than max_rate degC/h.
 
-    Computed on consecutive samples; a rate exactly at the limit does not
-    alert.
+    after is before with one more fold. The result is True where a
+    position took a sample in that fold, already had one before it, and
+    |T_new - T_last| / dt exceeds max_rate; a rate exactly at the limit
+    does not alert. A max_rate that is NaN or negative raises ValueError.
     """
-    if len(record.samples) < 2:
-        raise ValueError("rate check needs at least 2 samples")
     if not max_rate >= 0.0:
         raise ValueError("max_rate must be a number >= 0")
-    violations: list[RateViolation] = []
-    for (t0, temp0), (t1, temp1) in zip(record.samples, record.samples[1:]):
-        rate = (temp1 - temp0) / (t1 - t0)
-        if abs(rate) > max_rate:
-            violations.append(RateViolation(t0, t1, rate))
-    return violations
+    interval = (after.sample_count > before.sample_count) & (before.sample_count > 0)
+    rise = after.last_temperature - before.last_temperature
+    # Divided only over the intervals: elsewhere dt is 0 or NaN.
+    rate = np.divide(rise, after.last_time_h - before.last_time_h, out=np.zeros(np.shape(interval)), where=interval)
+    return interval & (np.abs(rate) > max_rate)

@@ -94,6 +94,8 @@ def test_traced_monitor_commands_record_their_thinning(monkeypatch, tmp_path):
     expected.remove("cli_io.cli.run_mapping")
     spans = Counter(recorder.names)
     assert [name for name in expected if spans[name] == 0] == []
+    # Maturity folds each map once, whatever the number of positions.
+    assert spans["cli_io.cli.accumulate_maturity"] == spans["cli_io.cli.rate_alert"] == 2
     # The coarse ICP stage thins both clouds, and maturity seeds its
     # positions from one thinning of the first map.
     thin = [i for i, name in enumerate(recorder.names) if name == "thermal_map.voxel_thin"]

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from thermoslam import (
     ThermalImage,
     ThermalPointCloud,
     TrajectorySpec,
-    Vec3,
     rectangle_site,
     simulate_session,
 )
@@ -53,6 +53,7 @@ from thermoslam.cli_io import (
     write_thermal_frames,
     write_trajectory_csv,
 )
+from thermoslam.cli_io import formats
 from thermoslam.cli_io.cli import main
 from thermoslam.cli_io.formats import (
     TRAJECTORY_HEADER,
@@ -758,7 +759,11 @@ def test_writers_pin_bytes(tmp_path):
     write_delta_csv(tmp_path / "deltas.csv", positions[:3], np.array([0.5, -1.25, 1 / 3]))
     write_series_csv(tmp_path / "series.csv", [(0.0, "epoch0.ply"), (12.5, "epoch1.ply"), (24.0 + 1 / 3, "epoch2.ply")])
     write_maturity_points_csv(
-        tmp_path / "maturity_points.csv", [(Vec3(1.0, 0.875, 1 / 3), 3, 612.5, 1), (Vec3(-2.0, 0.1, 2.9), 1, 0.0, 0)]
+        tmp_path / "maturity_points.csv",
+        np.array([[1.0, 0.875, 1 / 3], [-2.0, 0.1, 2.9]]),
+        np.array([3, 1]),
+        np.array([612.5, 0.0]),
+        np.array([1, 0]),
     )
     digests = {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -997,6 +1002,31 @@ def test_cli_maturity_pins_bytes(tmp_path, capsys):
     assert read_report(out)["rate_violations"] == "2"
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.parent.iterdir())}
     assert digests == MATURITY_SHA256
+
+
+def test_cli_maturity_reads_one_map_at_a_time(tmp_path, capsys, monkeypatch):
+    # Each map is folded and dropped before the map after next is read.
+    series = _one_wall_series(tmp_path, 4)
+    read_ply, drop_unset = formats.read_ply, ThermalPointCloud.drop_unset
+    maps = []  # per map read: weak references to the cloud and its set points
+    older_alive = []
+
+    def reading(path):
+        older_alive.append(sum(ref() is not None for refs in maps[:-1] for ref in refs))
+        cloud = read_ply(path)
+        maps.append([weakref.ref(cloud)])
+        return cloud
+
+    def dropping(cloud):
+        kept = drop_unset(cloud)
+        maps[-1].append(weakref.ref(kept))
+        return kept
+
+    monkeypatch.setattr(formats, "read_ply", reading)
+    monkeypatch.setattr(ThermalPointCloud, "drop_unset", dropping)
+    assert main(["maturity", "--series", str(series), "--out", str(tmp_path / "maturity.txt")]) == 0
+    assert [len(refs) for refs in maps] == [2, 2, 2, 2]
+    assert older_alive == [0, 0, 0, 0]
 
 
 def test_cli_import_leaves_the_sparse_solvers_unloaded():

@@ -146,7 +146,7 @@ def test_temperature_delta_gates_by_match_radius():
     moving = ThermalPointCloud(
         [[0.0, 0.0, 0.02], [1.0, 0.0, 0.5]], [22.0, 30.0]
     )
-    report = temperature_delta(reference, moving, match_radius=0.05)
+    report = temperature_delta(reference, moving)
     assert report.matched_pairs == 1
     assert report.deltas[0] == pytest.approx(2.0)
     assert np.allclose(report.positions[0], [0.0, 0.0, 0.0])
@@ -167,34 +167,46 @@ def test_temperature_delta_no_overlap():
 # Maturity accumulation.
 
 
+def _fold(record: MaturityRecord, samples, max_rate: float = 10.0) -> tuple[MaturityRecord, list]:
+    """Fold (time, temperatures[, where]) samples in order; return the record and each fold's alerts."""
+    alerts = []
+    for sample in samples:
+        folded = accumulate_maturity(record, sample[:2], *sample[2:])
+        alerts.append(rate_alert(record, folded, max_rate))
+        record = folded
+    return record, alerts
+
+
 def test_accumulate_maturity_first_sample_only_initializes():
-    record = MaturityRecord(position=Vec3(0.0, 0.0, 1.0))
-    record = accumulate_maturity(record, (0.0, 18.0))
-    assert record.samples == ((0.0, 18.0),)
+    base = MaturityRecord(position=Vec3(0.0, 0.0, 1.0))
+    record = accumulate_maturity(base, (0.0, 18.0))
+    assert (record.sample_count, record.last_time_h, record.last_temperature) == (1, 0.0, 18.0)
     assert record.maturity == 0.0
+    # The input record is left as it was.
+    assert base.sample_count == 0 and math.isnan(base.last_time_h)
 
 
 def test_accumulate_maturity_trapezoid_value():
-    record = MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=5.0)
-    record = accumulate_maturity(record, (0.0, 15.0))
-    record = accumulate_maturity(record, (2.0, 25.0))
+    record, _ = _fold(MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=5.0), [(0.0, 15.0), (2.0, 25.0)])
     # Average temperature 20 degC over 2 h, 15 degC above datum.
     assert record.maturity == pytest.approx(30.0)
 
 
 def test_accumulate_maturity_clamps_below_datum():
-    record = MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=-10.0)
-    record = accumulate_maturity(record, (0.0, -20.0))
-    record = accumulate_maturity(record, (1.0, -20.0))
+    record, _ = _fold(MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=-10.0), [(0.0, -20.0), (1.0, -20.0)])
     assert record.maturity == 0.0
 
 
 def test_accumulate_maturity_requires_advancing_finite_samples():
     record = accumulate_maturity(MaturityRecord(position=Vec3(0, 0, 0)), (1.0, 20.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not advance"):
         accumulate_maturity(record, (1.0, 21.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         accumulate_maturity(record, (2.0, math.nan))
+    # Per position: one stalled position of three is enough.
+    many = accumulate_maturity(MaturityRecord(position=np.zeros((3, 3))), (np.array([1.0, 1.0, 2.0]), 20.0))
+    with pytest.raises(ValueError, match="does not advance"):
+        accumulate_maturity(many, (np.array([2.0, 3.0, 2.0]), 21.0))
 
 
 @pytest.mark.parametrize("datum", [math.nan, math.inf, -math.inf])
@@ -204,33 +216,53 @@ def test_maturity_record_rejects_non_finite_datum(datum):
         MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=datum)
 
 
+def test_fold_over_positions_equals_one_fold_per_position():
+    # Position 1 has no sample at 6.5 h; its next interval spans 2 to 9 h.
+    times = [0.0, 2.0, 6.5, 9.0]
+    temps = np.array([[20.0, 31.5, 1 / 3], [24.0, 18.0, 12.0], [70.0, -3.0, 19.0], [50.0, 29.0, 60.0]])
+    seen = np.array([[True] * 3, [True] * 3, [True, False, True], [True] * 3])
+    many, many_alerts = _fold(
+        MaturityRecord(position=np.zeros((3, 3)), datum_temperature=-5.0),
+        [(t, row, mask) for t, row, mask in zip(times, temps, seen)],
+    )
+    for k in range(3):
+        one, one_alerts = _fold(
+            MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=-5.0),
+            [(t, row[k]) for t, row, mask in zip(times, temps, seen) if mask[k]],
+        )
+        assert many.sample_count[k] == one.sample_count == int(seen[:, k].sum())
+        for field in ("last_time_h", "last_temperature", "maturity"):
+            assert getattr(many, field)[k].tobytes() == getattr(one, field).tobytes()
+        assert [bool(a[k]) for a, mask in zip(many_alerts, seen[:, k]) if mask] == [bool(a) for a in one_alerts]
+    assert [a.tolist() for a in many_alerts] == [
+        [False, False, False],
+        [False, False, False],
+        [True, False, False],
+        [False, False, True],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Rate alerts.
 
 
 def test_rate_alert_flags_steep_intervals_only():
-    record = MaturityRecord(
-        position=Vec3(0, 0, 0),
-        samples=((0.0, 20.0), (1.0, 25.0), (2.0, 45.0), (3.0, 30.0)),
-    )
-    violations = rate_alert(record, max_rate=10.0)
-    assert len(violations) == 2
-    assert violations[0].start_h == 1.0 and violations[0].end_h == 2.0
-    assert violations[0].rate_c_per_h == pytest.approx(20.0)
-    # Cooling too fast alerts as well.
-    assert violations[1].rate_c_per_h == pytest.approx(-15.0)
+    _, alerts = _fold(MaturityRecord(position=Vec3(0, 0, 0)), [(0.0, 20.0), (1.0, 25.0), (2.0, 45.0), (3.0, 30.0)])
+    # Warming at 20 C/h alerts, and so does cooling at -15 C/h.
+    assert [bool(a) for a in alerts] == [False, False, True, True]
 
 
 def test_rate_alert_exact_limit_does_not_alert():
-    record = MaturityRecord(position=Vec3(0, 0, 0), samples=((0.0, 20.0), (1.0, 30.0)))
-    assert rate_alert(record, max_rate=10.0) == []
+    _, alerts = _fold(MaturityRecord(position=Vec3(0, 0, 0)), [(0.0, 20.0), (1.0, 30.0)])
+    assert not np.any(alerts)
 
 
 def test_rate_alert_validation():
-    record = MaturityRecord(position=Vec3(0, 0, 0), samples=((0.0, 20.0),))
-    with pytest.raises(ValueError):
-        rate_alert(record, max_rate=10.0)
-    two = MaturityRecord(position=Vec3(0, 0, 0), samples=((0.0, 20.0), (1.0, 21.0)))
+    base = MaturityRecord(position=Vec3(0, 0, 0))
+    first = accumulate_maturity(base, (0.0, 20.0))
+    # No interval yet, so no alert however fast the limit.
+    assert not rate_alert(base, first, max_rate=0.0)
+    two = accumulate_maturity(first, (1.0, 21.0))
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="max_rate"):
-            rate_alert(two, max_rate=bad)
+            rate_alert(first, two, max_rate=bad)
