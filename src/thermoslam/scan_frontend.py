@@ -213,12 +213,16 @@ def gravity_project(scan: Scan2D, gravity: np.ndarray) -> ProjectedScan:
 def estimate_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point 2D normals from local neighborhoods.
 
-    Returns (normals, valid). A normal is valid when at least 3 of the
-    NORMAL_NEIGHBORS nearest points fall within NORMAL_RADIUS and the
-    neighborhood is line-like (smaller over larger covariance eigenvalue
-    at most NORMAL_FLATNESS); corner neighborhoods mixing two surfaces
-    fail that test and would otherwise yield diagonal normals biasing
-    registration. Normals are oriented to face the sensor origin.
+    Returns (normals, valid). A point's neighborhood is those of its
+    NORMAL_NEIGHBORS nearest points (itself included) within NORMAL_RADIUS.
+    Its normal is the eigenvector of the smaller eigenvalue of the
+    neighborhood's covariance [[a, b], [b, c]], solved in closed form: the
+    larger eigenvalue's axis lies at 0.5 * atan2(2b, a - c). A normal is
+    valid when the neighborhood has at least 3 points, its larger
+    eigenvalue exceeds 1e-12 and it is line-like (smaller over larger
+    eigenvalue at most NORMAL_FLATNESS); corner neighborhoods mixing two
+    surfaces fail that test and would otherwise yield diagonal normals
+    biasing registration. Normals are oriented to face the sensor origin.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -230,18 +234,26 @@ def estimate_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     near = dist <= NORMAL_RADIUS
     counts = near.sum(axis=1)
     valid = counts >= 3
-    nbr = pts[idx]  # (n, k, 2)
-    w = near.astype(float)[:, :, None]
-    denom = np.maximum(counts, 1)[:, None]
-    mean = (nbr * w).sum(axis=1) / denom
-    centered = (nbr - mean[:, None, :]) * w
-    cov = np.einsum("nki,nkj->nij", centered, centered) / denom[:, :, None]
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    # The eigenvector of the smaller eigenvalue, copied so that the cached
-    # normals do not keep the whole eigenvector array alive.
-    normals = eigvecs[:, :, 0].copy()
-    valid &= eigvals[:, 1] > 1e-12
-    valid &= eigvals[:, 0] <= NORMAL_FLATNESS * eigvals[:, 1]
+    # Weighted covariance [[a, b], [b, c]] of each neighborhood: the weight
+    # is 1 / count inside the radius and 0 outside it.
+    w = near / np.maximum(counts, 1)[:, None]
+    x = pts[:, 0][idx]
+    y = pts[:, 1][idx]
+    x -= (x * w).sum(axis=1)[:, None]
+    y -= (y * w).sum(axis=1)[:, None]
+    xw = x * w
+    a = (xw * x).sum(axis=1)
+    b = (xw * y).sum(axis=1)
+    c = (y * w * y).sum(axis=1)
+    # Its eigenvalues are mid -/+ radius, and the larger one's eigenvector
+    # lies at angle phi; the normal is perpendicular to it.
+    mid = 0.5 * (a + c)
+    radius = np.hypot(0.5 * (a - c), b)
+    smaller, larger = mid - radius, mid + radius
+    phi = 0.5 * np.arctan2(2.0 * b, a - c)
+    normals = np.column_stack([-np.sin(phi), np.cos(phi)])
+    valid &= larger > 1e-12
+    valid &= smaller <= NORMAL_FLATNESS * larger
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals[flip] *= -1.0
     return normals, valid
@@ -283,18 +295,15 @@ def normal_equations(reference: ProjectedScan, state: np.ndarray, association: t
     """Huber-weighted Gauss-Newton system (H, g) of an association's pairs."""
     _, moved, idx, line, line_res = association
     _, line_normals, _ = reference.line_points
-    h = np.zeros((3, 3))
-    g = np.zeros(3)
-    if np.any(line):
-        moved_centered = moved[line] - state[:2]  # rotated moving points
-        dtheta = np.column_stack([-moved_centered[:, 1], moved_centered[:, 0]])
-        nrm = line_normals[idx[line]]
-        res = line_res[line]
-        jac = np.column_stack([nrm, np.einsum("ni,ni->n", nrm, dtheta)])
-        w = MATCH_LOSS.weights(np.abs(res))
-        h += np.einsum("n,ni,nj->ij", w, jac, jac)
-        g += np.einsum("n,ni,n->i", w, jac, res)
-    return h, g
+    if not np.any(line):
+        return np.zeros((3, 3)), np.zeros(3)
+    moved_centered = moved[line] - state[:2]  # rotated moving points
+    dtheta = np.column_stack([-moved_centered[:, 1], moved_centered[:, 0]])
+    nrm = line_normals[idx[line]]
+    res = line_res[line]
+    jac = np.column_stack([nrm, np.einsum("ni,ni->n", nrm, dtheta)])
+    jw = jac * MATCH_LOSS.weights(np.abs(res))[:, None]
+    return jw.T @ jac, jw.T @ res
 
 
 def matching_cost(reference: ProjectedScan, moving: ProjectedScan, pose: PlanarPose) -> float:

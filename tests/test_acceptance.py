@@ -600,9 +600,9 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
 # sha256 of each file `map` writes for criterion 10's seed-17 session.
 PINNED_MAP_SHA256 = {
     "colored.ply": "516c3ff4aa85860df40b9870412376396b6a90bb3a955cd9cdc294614cf0f1e0",
-    "diagnostics.txt": "f1f6ebfdba655c79b52f7a12bca7f08470255219e522841595bdfb5fab45b729",
+    "diagnostics.txt": "93843151d572fc6240aee3429ed725c9d429dbc495e906d59316c58cad21b911",
     "map.ply": "ab6aa7e294a62cc417c5fffb7c8160be0b9bad2d207be53c88f69489fe4193f6",
-    "trajectory.csv": "963e24d7b35eb3ee7595733b215cc3057834f5b89a4b2e480f1458e6503f3f0d",
+    "trajectory.csv": "7c6fc394b3ef6717a3581637b6fd87e2b5d9d83447bbaf579ff1c4d7c0808c43",
 }
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from thermoslam import (
     PlanarPose,
@@ -23,6 +24,8 @@ from thermoslam.scan_frontend import (
     DISTANCE_GATE,
     MATCH_LOSS,
     MIN_INLIERS,
+    NORMAL_FLATNESS,
+    NORMAL_NEIGHBORS,
     NORMAL_RADIUS,
     DegenerateScanError,
     ProjectedScan,
@@ -195,6 +198,95 @@ def test_estimate_normals_needs_three_neighbors_in_radius():
     assert not valid.any()
     _, valid_two = estimate_normals(np.array([[0.0, 2.0], [0.5, 2.0]]))
     assert not valid_two.any()
+
+
+def _eigh_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference normals from a batched eigh of each neighborhood covariance.
+
+    Returns (normals, valid, eigvals), eigvals ascending per point.
+    """
+    pts = np.asarray(points, dtype=float)
+    k = min(NORMAL_NEIGHBORS, pts.shape[0])
+    dist, idx = cKDTree(pts).query(pts, k=k)
+    if k == 1:
+        dist, idx = dist[:, None], idx[:, None]
+    near = dist <= NORMAL_RADIUS
+    counts = near.sum(axis=1)
+    valid = counts >= 3
+    nbr = pts[idx]
+    w = near.astype(float)[:, :, None]
+    denom = np.maximum(counts, 1)[:, None]
+    mean = (nbr * w).sum(axis=1) / denom
+    centered = (nbr - mean[:, None, :]) * w
+    cov = np.einsum("nki,nkj->nij", centered, centered) / denom[:, :, None]
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    normals = eigvecs[:, :, 0].copy()
+    valid &= eigvals[:, 1] > 1e-12
+    valid &= eigvals[:, 0] <= NORMAL_FLATNESS * eigvals[:, 1]
+    flip = np.einsum("ni,ni->n", normals, pts) > 0.0
+    normals[flip] *= -1.0
+    return normals, valid, eigvals
+
+
+def _assert_normals_match_eigh(points: np.ndarray) -> np.ndarray:
+    """Compare estimate_normals with the eigh reference; return its valid mask."""
+    normals, valid = estimate_normals(points)
+    ref_normals, ref_valid, eigvals = _eigh_normals(points)
+    assert np.all(np.isfinite(normals))
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+    small, large = eigvals[:, 0], eigvals[:, 1]
+    # valid may differ only where a rule's two sides are within rounding.
+    away = (np.abs(small - NORMAL_FLATNESS * large) > 1e-9 * large) & (np.abs(large - 1e-12) > 1e-15)
+    assert np.array_equal(valid[away], ref_valid[away])
+    # Normals are defined where the two eigenvalues are well apart; both are
+    # flipped toward the sensor, so they agree up to a sign only on a
+    # neighborhood exactly in line with the origin.
+    separated = (large > 1e-12) & (small <= 0.5 * large)
+    gap = np.minimum(np.abs(normals - ref_normals).max(axis=1), np.abs(normals + ref_normals).max(axis=1))
+    assert gap[separated].max(initial=0.0) < 1e-9
+    return valid
+
+
+def test_estimate_normals_matches_eigh_on_random_neighborhoods():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        pieces = []
+        for _ in range(6):
+            # Noisy segments whose flatness ratio straddles NORMAL_FLATNESS,
+            # plus scattered points.
+            center = rng.uniform(-5.0, 5.0, 2)
+            direction = rng.normal(size=2)
+            along = rng.uniform(-0.6, 0.6, 25)[:, None] * direction / np.linalg.norm(direction)
+            sigma = 10.0 ** rng.uniform(-4.0, -1.0)
+            pieces.append(center + along + rng.normal(0.0, sigma, (25, 2)))
+        pieces.append(rng.uniform(-5.0, 5.0, (40, 2)))
+        valid = _assert_normals_match_eigh(np.vstack(pieces))
+        assert valid.any() and not valid.all()
+
+
+def test_estimate_normals_matches_eigh_on_edge_cases():
+    # Isotropic: a center and four points at equal distance along both axes
+    # share one neighborhood whose covariance has equal eigenvalues.
+    cross = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, 0.1], [0.0, -0.1]]) + [2.0, 1.0]
+    assert not _assert_normals_match_eigh(cross).any()
+    # Exactly collinear: along an axis and along a diagonal.
+    t = np.linspace(-0.5, 0.5, 21)
+    for line in (np.column_stack([t + 1.0, np.full(21, 2.0)]), np.column_stack([t + 3.0, t - 1.0])):
+        assert _assert_normals_match_eigh(line).all()
+    # Fewer than 3 neighbors in radius: pairs 0.1 m apart, pairs 1 m apart,
+    # and a lone point.
+    pairs = np.array([[0.0, 2.0], [0.1, 2.0], [1.0, 2.0], [1.0, 2.1], [3.0, 3.0]])
+    assert not _assert_normals_match_eigh(pairs).any()
+    # A flatness ratio 1e-7 above and below NORMAL_FLATNESS: the five points
+    # of a stretched cross share one neighborhood with eigenvalue ratio
+    # (v / u)^2, rotated and moved off the origin.
+    c, s = math.cos(0.7), math.sin(0.7)
+    for ratio, expected in ((NORMAL_FLATNESS + 1e-7, False), (NORMAL_FLATNESS - 1e-7, True)):
+        u, v = 0.1, 0.1 * math.sqrt(ratio)
+        stretched = np.array([[0.0, 0.0], [u, 0.0], [-u, 0.0], [0.0, v], [0.0, -v]])
+        points = stretched @ np.array([[c, s], [-s, c]]) + [3.0, -2.0]
+        valid = _assert_normals_match_eigh(points)
+        assert np.array_equal(valid, np.full(5, expected))
 
 
 # ---------------------------------------------------------------------------
