@@ -32,10 +32,11 @@ NORMAL_FLATNESS = 0.02
 # without a pair saturate at the gate. A match converges only with at
 # least MIN_INLIERS pairs. It stops when a step is shorter than
 # UPDATE_TOLERANCE or when the Gauss-Newton model predicts a cost decrease
-# of at most DECREASE_TOLERANCE times the current cost.
+# of at most DECREASE_TOLERANCE times the paired beams' share of the cost;
+# the unpaired beams' saturated share is left out, as no step lowers it.
 MAX_ITERATIONS = 50
 UPDATE_TOLERANCE = 1e-6
-DECREASE_TOLERANCE = 1e-6
+DECREASE_TOLERANCE = 1e-2
 DISTANCE_GATE = 0.5
 NORMAL_ANGLE_GATE = math.radians(45.0)
 COS_NORMAL_ANGLE_GATE = math.cos(NORMAL_ANGLE_GATE)
@@ -306,6 +307,12 @@ def normal_equations(reference: ProjectedScan, state: np.ndarray, association: t
     return jw.T @ jac, jw.T @ res
 
 
+def _paired_cost(association: tuple) -> float:
+    """The accepted pairs' share of an association's normalized cost."""
+    _, moved, _, line, line_res = association
+    return float(MATCH_LOSS.values(np.abs(line_res[line])).sum() / moved.shape[0])
+
+
 def matching_cost(reference: ProjectedScan, moving: ProjectedScan, pose: PlanarPose) -> float:
     """Normalized robust matching cost of a pose (diagnostic)."""
     return associate(reference, moving, np.array([pose.x, pose.y, pose.theta]))[0]
@@ -328,9 +335,13 @@ def match_scans(
     The match stops as converged, before associating a candidate step s,
     when the damped model's predicted decrease of the normalized cost,
     0.5 * (damping * s.D.s - g.s) / len(moving) with D the diagonal of H
-    floored at 1e-12, is at most DECREASE_TOLERANCE times the current
-    cost (Madsen, Nielsen and Tingleff, "Methods for Non-Linear Least
-    Squares Problems", 2004, section 3.2). A step shorter than
+    floored at 1e-12 (Madsen, Nielsen and Tingleff, "Methods for
+    Non-Linear Least Squares Problems", 2004, section 3.2), is at most
+    DECREASE_TOLERANCE times the paired beams' share of the current cost:
+    the robust loss of the accepted pairs' residuals over len(moving).
+    On noisy scans that share stays at the residuals' noise, so the match
+    stops once the remaining gain is small against it; on noiseless ones
+    it falls toward 0 with the residuals. A step shorter than
     UPDATE_TOLERANCE also ends the match as converged. A rejected step
     that pushes the damping past 1e10 ends it unconverged, and after
     MAX_ITERATIONS steps it has converged when the last step was accepted.
@@ -344,9 +355,11 @@ def match_scans(
     associations = 1
     damping = INITIAL_DAMPING
     converged = False
-    # (h, g) depend only on the state and its association, so they are
-    # rebuilt after an accepted step and reused after a rejected one.
+    # (h, g) and the stop floor depend only on the state and its
+    # association, so they are rebuilt after an accepted step and reused
+    # after a rejected one.
     h, g = normal_equations(reference, state, assoc)
+    floor = DECREASE_TOLERANCE * _paired_cost(assoc)
     for _ in range(MAX_ITERATIONS):
         scale = np.diag(np.maximum(np.diag(h), 1e-12))
         try:
@@ -354,7 +367,7 @@ def match_scans(
         except np.linalg.LinAlgError:
             break
         predicted = 0.5 * (damping * (step @ scale @ step) - g @ step) / len(moving)
-        if predicted <= DECREASE_TOLERANCE * cost:
+        if predicted <= floor:
             converged = True
             break
         candidate = state + step
@@ -369,6 +382,7 @@ def match_scans(
             if small:
                 break
             h, g = normal_equations(reference, state, assoc)
+            floor = DECREASE_TOLERANCE * _paired_cost(assoc)
         else:
             damping *= 10.0
             if small:

@@ -599,10 +599,10 @@ def test_criterion_09_round_trips_and_corruption_fuzz(tmp_path):
 
 # sha256 of each file `map` writes for criterion 10's seed-17 session.
 PINNED_MAP_SHA256 = {
-    "colored.ply": "516c3ff4aa85860df40b9870412376396b6a90bb3a955cd9cdc294614cf0f1e0",
-    "diagnostics.txt": "93843151d572fc6240aee3429ed725c9d429dbc495e906d59316c58cad21b911",
-    "map.ply": "ab6aa7e294a62cc417c5fffb7c8160be0b9bad2d207be53c88f69489fe4193f6",
-    "trajectory.csv": "7c6fc394b3ef6717a3581637b6fd87e2b5d9d83447bbaf579ff1c4d7c0808c43",
+    "colored.ply": "55c0b048535034e33308e698eb22b0697f948fec6f5cbd443c8a957282a24cdd",
+    "diagnostics.txt": "5c3913d75ec0f48073c5a3b54ee556a07b089a976b9cebaefb5ce0496a0a360a",
+    "map.ply": "c18c3160dc243adedf7afb9fb34e8e7b23c68d6958e69a9f40e86279049a9e58",
+    "trajectory.csv": "28b03ac9b34a88ac3db7296a5924100bce60c3ccbe0b1fe51a6639d9e235215d",
 }
 
 
