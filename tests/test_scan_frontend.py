@@ -238,9 +238,9 @@ def _assert_normals_match_eigh(points: np.ndarray) -> np.ndarray:
     # valid may differ only where a rule's two sides are within rounding.
     away = (np.abs(small - NORMAL_FLATNESS * large) > 1e-9 * large) & (np.abs(large - 1e-12) > 1e-15)
     assert np.array_equal(valid[away], ref_valid[away])
-    # Normals are defined where the two eigenvalues are well apart; both are
-    # flipped toward the sensor, so they agree up to a sign only on a
-    # neighborhood exactly in line with the origin.
+    # Normals are defined where the two eigenvalues are well apart. Both are
+    # flipped toward the sensor, so their signs can differ only where the
+    # normal is perpendicular to the point's position.
     separated = (large > 1e-12) & (small <= 0.5 * large)
     gap = np.minimum(np.abs(normals - ref_normals).max(axis=1), np.abs(normals + ref_normals).max(axis=1))
     assert gap[separated].max(initial=0.0) < 1e-9
@@ -273,8 +273,8 @@ def test_estimate_normals_matches_eigh_on_edge_cases():
     t = np.linspace(-0.5, 0.5, 21)
     for line in (np.column_stack([t + 1.0, np.full(21, 2.0)]), np.column_stack([t + 3.0, t - 1.0])):
         assert _assert_normals_match_eigh(line).all()
-    # Fewer than 3 neighbors in radius: pairs 0.1 m apart, pairs 1 m apart,
-    # and a lone point.
+    # Fewer than 3 neighbors in radius: two pairs of points 0.1 m apart,
+    # about 1 m from each other, and a lone point.
     pairs = np.array([[0.0, 2.0], [0.1, 2.0], [1.0, 2.0], [1.0, 2.1], [3.0, 3.0]])
     assert not _assert_normals_match_eigh(pairs).any()
     # A flatness ratio 1e-7 above and below NORMAL_FLATNESS: the five points
