@@ -60,6 +60,13 @@ def _reject_unknown(data: dict, allowed: set[str], path: Path) -> None:
         raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")
 
 
+def _number(value: object, path: Path, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {key} must be a number, got {json.dumps(value)}") from None
+
+
 def _load_trajectory(path: Path) -> TrajectorySpec:
     data = _load_json(path)
     _reject_unknown(
@@ -71,12 +78,10 @@ def _load_trajectory(path: Path) -> TrajectorySpec:
         waypoints = tuple((float(x), float(y)) for x, y in data["waypoints"])
     except (TypeError, ValueError):
         raise ValueError(f"{path}: waypoints must be [x, y] pairs") from None
-    kwargs = {}
-    for key in ("speed", "scan_rate", "imu_rate", "thermal_rate", "hold_s"):
-        if key in data:
-            kwargs[key] = float(data[key])
+    keys = ("speed", "scan_rate", "imu_rate", "thermal_rate", "hold_s")
+    kwargs = {key: _number(data[key], path, key) for key in keys if key in data}
     if "turn_rate_deg_s" in data:
-        kwargs["turn_rate"] = math.radians(float(data["turn_rate_deg_s"]))
+        kwargs["turn_rate"] = math.radians(_number(data["turn_rate_deg_s"], path, "turn_rate_deg_s"))
     return TrajectorySpec(waypoints=waypoints, **kwargs)
 
 
@@ -94,12 +99,11 @@ def _load_noise(path: Path) -> NoiseSpec:
         },
         path,
     )
-    kwargs = {}
-    for key in ("range_sigma", "range_dropout_prob", "accel_noise_sigma", "thermal_noise_sigma", "haze_attenuation"):
-        if key in data:
-            kwargs[key] = float(data[key])
+    keys = ("range_sigma", "range_dropout_prob", "accel_noise_sigma", "thermal_noise_sigma", "haze_attenuation")
+    kwargs = {key: _number(data[key], path, key) for key in keys if key in data}
     if "gravity_tilt_sigma_deg" in data:
-        kwargs["gravity_tilt_sigma"] = math.radians(float(data["gravity_tilt_sigma_deg"]))
+        tilt_deg = _number(data["gravity_tilt_sigma_deg"], path, "gravity_tilt_sigma_deg")
+        kwargs["gravity_tilt_sigma"] = math.radians(tilt_deg)
     return NoiseSpec(**kwargs)
 
 
@@ -112,18 +116,25 @@ def _load_site(spec: str) -> SiteModel:
         raise ValueError(f"site {spec!r} is neither a preset ({presets}) nor an existing file")
     data = _load_json(path)
     _reject_unknown(data, {"walls", "floor_height", "ambient_c", "field"}, path)
-    if "walls" not in data:
+    if not isinstance(data.get("walls"), list):
         raise ValueError(f"{path}: site file needs a walls list")
-    floor_height = float(data.get("floor_height", 3.0))
+    floor_height = _number(data.get("floor_height", 3.0), path, "floor_height")
     walls = []
     for k, raw in enumerate(data["walls"]):
-        if not isinstance(raw, (list, tuple)) or len(raw) not in (4, 5):
+        if not isinstance(raw, list) or len(raw) not in (4, 5):
             raise ValueError(f"{path}: wall {k} must be [x1, y1, x2, y2] or [x1, y1, x2, y2, height]")
-        height = float(raw[4]) if len(raw) == 5 else floor_height
-        walls.append(WallSegment(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]), height))
+        coords = [_number(value, path, f"wall {k} coordinate") for value in raw]
+        walls.append(WallSegment(*coords[:4], coords[4] if len(coords) == 5 else floor_height))
     field_cfg = data.get("field", {"kind": "uniform", "value": 20.0})
-    field = field_from_config(field_cfg, walls)
-    return SiteModel(walls, field, floor_height=floor_height, ambient_c=float(data.get("ambient_c", 15.0)))
+    if not isinstance(field_cfg, dict):
+        raise ValueError(f"{path}: field must be a JSON object")
+    params = {key: _number(value, path, f"field {key}") for key, value in field_cfg.items() if key != "kind"}
+    try:
+        field = field_from_config({"kind": field_cfg.get("kind"), **params}, walls)
+    except (TypeError, ValueError) as exc:  # an unknown kind, or parameters the kind does not take
+        raise ValueError(f"{path}: field: {exc}") from None
+    ambient_c = _number(data.get("ambient_c", 15.0), path, "ambient_c")
+    return SiteModel(walls, field, floor_height=floor_height, ambient_c=ambient_c)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

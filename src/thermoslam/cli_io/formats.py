@@ -565,18 +565,20 @@ RAINBOW_ANCHORS = np.array(
     dtype=float,
 )
 UNSET_RGB = np.array([128, 128, 128], dtype=np.uint8)
+# rainbow_rgb's temperature range, degC.
+COLOR_MIN_C = 10.0
+COLOR_MAX_C = 40.0
 
 
-def rainbow_rgb(temperatures: np.ndarray, t_min: float = 10.0, t_max: float = 40.0) -> np.ndarray:
+def rainbow_rgb(temperatures: np.ndarray) -> np.ndarray:
     """Map temperatures onto the blue-to-red rainbow scale.
 
     Linear interpolation between five anchor colors over four equal bands
-    of the clamped normalized temperature; NaN maps to neutral gray.
+    of the temperature clamped to [COLOR_MIN_C, COLOR_MAX_C] and
+    normalized; NaN maps to neutral gray.
     """
-    if not t_min < t_max:
-        raise ValueError("need t_min < t_max")
     temps = np.asarray(temperatures, dtype=float)
-    t = np.clip((temps - t_min) / (t_max - t_min), 0.0, 1.0)
+    t = np.clip((temps - COLOR_MIN_C) / (COLOR_MAX_C - COLOR_MIN_C), 0.0, 1.0)
     t = np.where(np.isfinite(t), t, 0.0)
     band = np.minimum((t * 4).astype(int), 3)
     frac = t * 4 - band
@@ -587,9 +589,9 @@ def rainbow_rgb(temperatures: np.ndarray, t_min: float = 10.0, t_max: float = 40
     return rgb
 
 
-def export_colored_view(cloud: ThermalPointCloud, path: Path, t_min: float = 10.0, t_max: float = 40.0) -> None:
+def export_colored_view(cloud: ThermalPointCloud, path: Path) -> None:
     """PLY with rainbow red/green/blue channels appended to each vertex."""
-    _write_ply(path, cloud, *rainbow_rgb(cloud.temperatures, t_min, t_max).T)
+    _write_ply(path, cloud, *rainbow_rgb(cloud.temperatures).T)
 
 
 def read_ply(path: Path) -> ThermalPointCloud:

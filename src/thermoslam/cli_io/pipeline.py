@@ -239,5 +239,5 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         "temperature_set_points": int(np.count_nonzero(np.isfinite(cloud.temperatures))),
     }
     if dataset.ground_truth:
-        diagnostics["ate_m"] = trajectory_ate(trajectory, dataset.ground_truth, align=True)
+        diagnostics["ate_m"] = trajectory_ate(trajectory, dataset.ground_truth)
     return MappingResult(cloud=cloud, trajectory=trajectory, diagnostics=diagnostics)

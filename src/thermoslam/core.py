@@ -147,10 +147,7 @@ class RigidTransform3:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation determinant must be +1")
-        if isinstance(self.translation, Vec3):
-            t = self.translation.as_array()
-        else:
-            t = np.asarray(self.translation, dtype=float).reshape(3)
+        t = np.asarray(self.translation, dtype=float).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("translation must be finite")
         self.rotation = r

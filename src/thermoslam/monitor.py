@@ -37,6 +37,11 @@ __all__ = [
 # distance, in metres: temperature deltas and maturity samples alike.
 MATCH_RADIUS = 0.05
 
+# icp_align's step cap per stage, coarse voxel (m) and acceptance RMS (m).
+ICP_MAX_ITERATIONS = 50
+ICP_COARSE_VOXEL = 0.2
+ICP_MAX_RMS = 0.2
+
 
 class AlignmentError(RuntimeError):
     """Cross-session alignment failed to reach an acceptable residual."""
@@ -111,19 +116,13 @@ def _as_transform(yaw: float, t_xy: np.ndarray, t_z: float) -> RigidTransform3:
     return RigidTransform3(rotation_about_z(yaw), np.array([t_xy[0], t_xy[1], t_z]))
 
 
-def _icp_stage(
-    moving: np.ndarray,
-    reference: np.ndarray,
-    start: RigidTransform3,
-    max_iterations: int,
-) -> tuple[RigidTransform3, float, int]:
+def _icp_stage(moving: np.ndarray, reference: np.ndarray, start: RigidTransform3) -> tuple[RigidTransform3, float]:
     tree = cKDTree(reference)
     current = start
     current_rms = math.inf
     # (dist, idx) always hold the nearest neighbors of moving placed at current.
     dist, idx = tree.query(current.apply(moving))
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for _ in range(ICP_MAX_ITERATIONS):
         gate = 3.0 * float(np.median(dist))
         keep = dist <= gate
         if not np.any(keep):
@@ -151,28 +150,26 @@ def _icp_stage(
     if not math.isfinite(current_rms):
         keep = dist <= 3.0 * float(np.median(dist))
         current_rms = float(np.sqrt(np.mean(dist[keep] ** 2))) if np.any(keep) else math.inf
-    return current, current_rms, iterations
+    return current, current_rms
 
 
 def icp_align(
     reference: ThermalPointCloud,
     moving: ThermalPointCloud,
     initial: RigidTransform3 | None = None,
-    max_rms: float = 0.2,
-    coarse_voxel: float = 0.2,
-    max_iterations: int = 50,
 ) -> tuple[RigidTransform3, float]:
     """Register moving onto reference with yaw + translation ICP.
 
     Motion is restricted to x, y, z and rotation about z; gravity-aligned
     maps have no other freedom worth estimating. Runs a coarse pass on
-    voxel-thinned clouds to widen the basin, then refines at full
-    resolution. Matched-pair RMS never increases within a pass because
-    only improving updates are accepted.
+    clouds voxel-thinned to ICP_COARSE_VOXEL to widen the basin, then
+    refines at full resolution, each in at most ICP_MAX_ITERATIONS steps.
+    Matched-pair RMS never increases within a pass because only improving
+    updates are accepted.
 
     Returns (transform mapping moving into the reference frame, final RMS
     nearest-neighbor distance). Raises AlignmentError when the final RMS
-    exceeds max_rms.
+    exceeds ICP_MAX_RMS.
     """
     _require_monitor_cloud(reference, "reference", min_points=100)
     _require_monitor_cloud(moving, "moving", min_points=100)
@@ -184,16 +181,15 @@ def icp_align(
         float(np.asarray(initial.translation, dtype=float)[2]),
     )
 
-    if coarse_voxel > 0.0:
-        # Through the module, so a wrapper on thermal_map.voxel_thin sees these calls.
-        ref_coarse, _ = thermal_map.voxel_thin(reference.positions, reference.temperatures, coarse_voxel)
-        mov_coarse, _ = thermal_map.voxel_thin(moving.positions, moving.temperatures, coarse_voxel)
-        if ref_coarse.shape[0] >= 10 and mov_coarse.shape[0] >= 10:
-            start, _, _ = _icp_stage(mov_coarse, ref_coarse, start, max_iterations)
+    # Through the module, so a wrapper on thermal_map.voxel_thin sees these calls.
+    ref_coarse, _ = thermal_map.voxel_thin(reference.positions, reference.temperatures, ICP_COARSE_VOXEL)
+    mov_coarse, _ = thermal_map.voxel_thin(moving.positions, moving.temperatures, ICP_COARSE_VOXEL)
+    if ref_coarse.shape[0] >= 10 and mov_coarse.shape[0] >= 10:
+        start, _ = _icp_stage(mov_coarse, ref_coarse, start)
 
-    transform, rms, _ = _icp_stage(moving.positions, reference.positions, start, max_iterations)
-    if not math.isfinite(rms) or rms > max_rms:
-        raise AlignmentError(f"alignment residual {rms:.3f} m exceeds {max_rms:.3f} m")
+    transform, rms = _icp_stage(moving.positions, reference.positions, start)
+    if not math.isfinite(rms) or rms > ICP_MAX_RMS:
+        raise AlignmentError(f"alignment residual {rms:.3f} m exceeds {ICP_MAX_RMS:.3f} m")
     return transform, rms
 
 

@@ -36,12 +36,14 @@ MAX_ITERATIONS = 100
 RELATIVE_TOLERANCE = 1e-8
 INITIAL_DAMPING = 1e-4
 
-# Loop-closure candidates: every LOOP_STRIDE-th node is paired with every
-# LOOP_STRIDE-th later node; at most LOOP_MAX_CANDIDATES pairs are matched
-# and a node takes part in at most LOOP_MAX_PER_NODE accepted closures.
+# Loop-closure candidates and gates (distance in m): see detect_loop_closures.
 LOOP_STRIDE = 3
+LOOP_MIN_INDEX_GAP = 10
+LOOP_MAX_DISTANCE = 2.0
 LOOP_MAX_CANDIDATES = 4000
 LOOP_MAX_PER_NODE = 2
+LOOP_MAX_COST = 0.01
+LOOP_MIN_INLIER_RATIO = 0.6
 
 
 class DisconnectedGraphError(ValueError):
@@ -105,24 +107,18 @@ def _check_connected(graph: PoseGraph) -> None:
         raise DisconnectedGraphError(f"pose graph splits into {len(roots)} components")
 
 
-def detect_loop_closures(
-    scans: list[ProjectedScan],
-    poses: list[PlanarPose],
-    min_index_gap: int = 10,
-    max_distance: float = 2.0,
-    max_cost: float = 0.01,
-    min_inlier_ratio: float = 0.6,
-) -> tuple[list[GraphEdge], int, int]:
+def detect_loop_closures(scans: list[ProjectedScan], poses: list[PlanarPose]) -> tuple[list[GraphEdge], int, int]:
     """Find loop-closure edges among non-adjacent nodes.
 
     Candidates are node pairs on the LOOP_STRIDE grid more than
-    min_index_gap apart in index whose estimated positions lie within
-    max_distance; pairs with a node that already has LOOP_MAX_PER_NODE
+    LOOP_MIN_INDEX_GAP apart in index whose estimated positions lie within
+    LOOP_MAX_DISTANCE; pairs with a node that already has LOOP_MAX_PER_NODE
     closures are skipped, and enumeration stops after LOOP_MAX_CANDIDATES
-    matched pairs. An edge is kept only when the match converges under the
-    cost gate with enough inliers. Returns (edges, rejected_candidate_count,
-    associations) in a deterministic order; associations sums the matches'
-    :attr:`MatchResult.associations`.
+    matched pairs. An edge is kept only when the match converges with a
+    cost of at most LOOP_MAX_COST and an inlier count of at least
+    LOOP_MIN_INLIER_RATIO of the later scan's points. Returns (edges,
+    rejected_candidate_count, associations) in a deterministic order;
+    associations sums the matches' :attr:`MatchResult.associations`.
     """
     if len(scans) != len(poses):
         raise ValueError("scans and poses length mismatch")
@@ -133,19 +129,19 @@ def detect_loop_closures(
     associations = 0
     accepted_count = {i: 0 for i in range(len(scans))}
     for i in range(0, len(scans), LOOP_STRIDE):
-        for j in range(i + min_index_gap + 1, len(scans), LOOP_STRIDE):
+        for j in range(i + LOOP_MIN_INDEX_GAP + 1, len(scans), LOOP_STRIDE):
             if evaluated >= LOOP_MAX_CANDIDATES:
                 return edges, rejected, associations
             if accepted_count[i] >= LOOP_MAX_PER_NODE or accepted_count[j] >= LOOP_MAX_PER_NODE:
                 continue
-            if float(np.linalg.norm(xy[i] - xy[j])) >= max_distance:
+            if float(np.linalg.norm(xy[i] - xy[j])) >= LOOP_MAX_DISTANCE:
                 continue
             evaluated += 1
             guess = compose(inverse(poses[i]), poses[j])
             result = match_scans(scans[i], scans[j], initial_guess=guess)
             associations += result.associations
             ratio = result.inlier_count / max(len(scans[j]), 1)
-            if result.converged and result.final_cost <= max_cost and ratio >= min_inlier_ratio:
+            if result.converged and result.final_cost <= LOOP_MAX_COST and ratio >= LOOP_MIN_INLIER_RATIO:
                 edges.append(GraphEdge(i, j, result.relative_pose, kind="loop_closure"))
                 accepted_count[i] += 1
                 accepted_count[j] += 1

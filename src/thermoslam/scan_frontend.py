@@ -22,6 +22,10 @@ from .core import HuberLoss, ImuSeries, PlanarPose, Scan2D, Timestamp, rotation_
 DOWN = np.array([0.0, 0.0, -1.0])
 MIN_POINT_NORM = 1e-9  # leveled points closer to the origin are zero-range
 
+# filter_gravity's weight per reading and associate_gravity's window (ns).
+GRAVITY_ALPHA = 0.05
+GRAVITY_MAX_OFFSET_NS = 100_000_000
+
 # Normal neighborhood of estimate_normals (NORMAL_RADIUS in m).
 NORMAL_NEIGHBORS = 8
 NORMAL_RADIUS = 0.3
@@ -114,22 +118,21 @@ class MatchResult:
     associations: int
 
 
-def filter_gravity(imu: ImuSeries, alpha: float = 0.05) -> np.ndarray:
+def filter_gravity(imu: ImuSeries) -> np.ndarray:
     """Exponential moving average over raw accelerometer readings.
 
     Returns an (M, 3) array of unit gravity directions, row i at
     imu.stamps[i]. The filter state starts at the first reading; each row
     is the running average after reading i,
-    state = (1 - alpha) * state + alpha * accel[i], divided by its norm.
+    state = (1 - GRAVITY_ALPHA) * state + GRAVITY_ALPHA * accel[i],
+    divided by its norm.
     """
     if not len(imu):
         raise ValueError("empty IMU stream")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
     state = imu.accel[0]
     out = np.empty_like(imu.accel)
     for i, accel in enumerate(imu.accel):
-        state = (1.0 - alpha) * state + alpha * accel
+        state = (1.0 - GRAVITY_ALPHA) * state + GRAVITY_ALPHA * accel
         norm = np.linalg.norm(state)
         if norm < 1e-12:
             raise ValueError("gravity filter collapsed to zero vector")
@@ -137,17 +140,13 @@ def filter_gravity(imu: ImuSeries, alpha: float = 0.05) -> np.ndarray:
     return out
 
 
-def associate_gravity(
-    scans: list[Scan2D],
-    stamps: np.ndarray,
-    max_offset_ns: int = 100_000_000,
-) -> tuple[list[tuple[Scan2D, int]], int]:
+def associate_gravity(scans: list[Scan2D], stamps: np.ndarray) -> tuple[list[tuple[Scan2D, int]], int]:
     """Pair each scan with the index of the gravity sample nearest in time.
 
     stamps are the gravity samples' stamps. Ties go to the earlier sample.
-    Scans whose nearest sample is more than max_offset_ns away are dropped;
-    the second return value counts them. Both streams must be time-sorted
-    and the gravity stream non-empty.
+    Scans whose nearest sample is more than GRAVITY_MAX_OFFSET_NS away are
+    dropped; the second return value counts them. Both streams must be
+    time-sorted and the gravity stream non-empty.
     """
     g_stamps = np.asarray(stamps, dtype=np.int64)
     if not g_stamps.size:
@@ -163,7 +162,7 @@ def associate_gravity(
     before = np.maximum(after - 1, 0)
     after = np.minimum(after, g_stamps.size - 1)
     best = np.where(s_stamps - g_stamps[before] <= g_stamps[after] - s_stamps, before, after)
-    near = np.abs(g_stamps[best] - s_stamps) <= max_offset_ns
+    near = np.abs(g_stamps[best] - s_stamps) <= GRAVITY_MAX_OFFSET_NS
     pairs = [(scan, i) for scan, i, ok in zip(scans, best.tolist(), near.tolist()) if ok]
     return pairs, len(scans) - len(pairs)
 

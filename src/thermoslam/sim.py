@@ -43,6 +43,7 @@ RANGE_MAX = 15.0  # m
 SENSOR_HEIGHT = 0.6  # m, scanner above the floor
 VERTICAL_STEP = 0.1  # m, spacing of the extruded levels
 INTRINSICS = CameraIntrinsics(fx=140.0, fy=140.0, cx=79.5, cy=59.5, width=160, height=120)
+TILT_TAU = 2.0  # s, correlation time of the platform's roll/pitch wander
 
 # Temperature field: callable (x, y, z, wall_id) -> degC, vectorized over
 # equal-length arrays. wall_id is -1 for off-wall queries (ambient haze).
@@ -104,6 +105,27 @@ class SiteModel:
         return d.min(axis=1)
 
 
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Sensor corruption levels; the default is a noiseless run."""
+
+    range_sigma: float = 0.0
+    range_dropout_prob: float = 0.0
+    gravity_tilt_sigma: float = 0.0  # radians of platform roll/pitch
+    accel_noise_sigma: float = 0.0  # m/s^2 per axis
+    thermal_noise_sigma: float = 0.0  # degC per pixel
+    haze_attenuation: float = 0.0  # 0 = clear air, 1 = fully ambient
+
+    def __post_init__(self) -> None:
+        for name in ("range_sigma", "gravity_tilt_sigma", "accel_noise_sigma", "thermal_noise_sigma"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0.0 <= self.range_dropout_prob <= 1.0:
+            raise ValueError("range_dropout_prob must be in [0, 1]")
+        if not 0.0 <= self.haze_attenuation <= 1.0:
+            raise ValueError("haze_attenuation must be in [0, 1]")
+
+
 def intersect_rays(site: SiteModel, origins: np.ndarray, directions: np.ndarray):
     """Nearest wall hit for each 3D ray.
 
@@ -154,37 +176,34 @@ def intersect_rays(site: SiteModel, origins: np.ndarray, directions: np.ndarray)
 def raycast_scan(
     site: SiteModel,
     sensor_pose: RigidTransform3,
-    beam_count: int = BEAM_COUNT,
-    fov: float = FOV,
-    range_max: float = RANGE_MAX,
     stamp: Timestamp = 0,
-    noise: "NoiseSpec | None" = None,
+    noise: NoiseSpec = NoiseSpec(),
     rng: np.random.Generator | None = None,
 ) -> Scan2D:
-    """Simulate one 2D scan from a sensor placed in the world.
+    """Simulate one 2D scan of the rig's scanner placed in the world.
 
-    sensor_pose maps sensor coordinates into the world. Beams sweep the
-    sensor xy-plane starting at -fov/2 with increment fov/beam_count.
-    Beams beyond range_max report NaN.
+    sensor_pose maps sensor coordinates into the world. BEAM_COUNT beams
+    sweep the sensor xy-plane starting at -FOV/2 with increment
+    FOV/BEAM_COUNT. Beams beyond RANGE_MAX report NaN. noise's range noise
+    and dropout draw from rng; a noisy spec without rng raises ValueError.
     """
-    if beam_count < 2:
-        raise SimulationError("need at least 2 beams")
+    if (noise.range_sigma > 0.0 or noise.range_dropout_prob > 0.0) and rng is None:
+        raise ValueError("a noisy scan needs a random generator")
     origin_xy = sensor_pose.translation[:2]
     if site.distance_to_walls(origin_xy[None, :])[0] < 1e-6:
         raise SimulationError("scan sensor placed on a wall")
-    increment = fov / beam_count
-    angles = -0.5 * fov + increment * np.arange(beam_count)
-    dirs_sensor = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(beam_count)])
+    increment = FOV / BEAM_COUNT
+    angles = -0.5 * FOV + increment * np.arange(BEAM_COUNT)
+    dirs_sensor = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(BEAM_COUNT)])
     dirs_world = dirs_sensor @ sensor_pose.rotation.T
     dist, _, _ = intersect_rays(site, sensor_pose.translation[None, :], dirs_world)
-    ranges = np.where(dist <= range_max, dist, np.nan)
-    if noise is not None and rng is not None:
-        if noise.range_sigma > 0.0:
-            ranges = ranges + noise.range_sigma * rng.standard_normal(beam_count)
-        if noise.range_dropout_prob > 0.0:
-            drop = rng.random(beam_count) < noise.range_dropout_prob
-            ranges = np.where(drop, np.nan, ranges)
-        ranges = np.where(np.isfinite(ranges), np.maximum(ranges, 1e-6), ranges)
+    ranges = np.where(dist <= RANGE_MAX, dist, np.nan)
+    if noise.range_sigma > 0.0:
+        ranges = ranges + noise.range_sigma * rng.standard_normal(BEAM_COUNT)
+    if noise.range_dropout_prob > 0.0:
+        drop = rng.random(BEAM_COUNT) < noise.range_dropout_prob
+        ranges = np.where(drop, np.nan, ranges)
+    ranges = np.where(np.isfinite(ranges), np.maximum(ranges, 1e-6), ranges)
     return Scan2D(stamp, float(angles[0]), float(increment), ranges)
 
 
@@ -192,16 +211,16 @@ def render_thermal(
     site: SiteModel,
     camera_pose: RigidTransform3,
     intrinsics: CameraIntrinsics,
-    noise: "NoiseSpec | None" = None,
-    rng: np.random.Generator | None = None,
+    noise: NoiseSpec,
+    rng: np.random.Generator,
     stamp: Timestamp = 0,
 ) -> ThermalImage:
     """Render a radiometric frame through a pinhole camera.
 
     camera_pose maps world points into the camera frame (the same
     convention project_to_thermal consumes). Pixels whose rays miss every
-    wall read the site ambient temperature; haze blends wall readings
-    toward ambient.
+    wall read the site ambient temperature; noise's haze blends wall
+    readings toward ambient, and its pixel noise draws from rng.
     """
     w, h = intrinsics.width, intrinsics.height
     cam_to_world = camera_pose.inverse()
@@ -220,11 +239,11 @@ def render_thermal(
     temps = np.full(w * h, site.ambient_c)
     if np.any(hit_mask):
         temps[hit_mask] = site.sample_temperature(hits[hit_mask], wall[hit_mask])
-    haze = float(noise.haze_attenuation) if noise is not None else 0.0
+    haze = float(noise.haze_attenuation)
     if haze > 0.0:
         temps = (1.0 - haze) * temps + haze * site.ambient_c
         temps[~hit_mask] = site.ambient_c
-    if noise is not None and rng is not None and noise.thermal_noise_sigma > 0.0:
+    if noise.thermal_noise_sigma > 0.0:
         temps = temps + noise.thermal_noise_sigma * rng.standard_normal(w * h)
     temps = np.clip(temps, -39.0, 299.0)
     return ThermalImage(stamp, temps.reshape(h, w))
@@ -454,28 +473,7 @@ class Timeline:
 
 
 # ---------------------------------------------------------------------------
-# Noise and sessions.
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Sensor corruption levels; the default is a noiseless run."""
-
-    range_sigma: float = 0.0
-    range_dropout_prob: float = 0.0
-    gravity_tilt_sigma: float = 0.0  # radians of platform roll/pitch
-    accel_noise_sigma: float = 0.0  # m/s^2 per axis
-    thermal_noise_sigma: float = 0.0  # degC per pixel
-    haze_attenuation: float = 0.0  # 0 = clear air, 1 = fully ambient
-
-    def __post_init__(self) -> None:
-        for name in ("range_sigma", "gravity_tilt_sigma", "accel_noise_sigma", "thermal_noise_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.range_dropout_prob <= 1.0:
-            raise ValueError("range_dropout_prob must be in [0, 1]")
-        if not 0.0 <= self.haze_attenuation <= 1.0:
-            raise ValueError("haze_attenuation must be in [0, 1]")
+# Sessions.
 
 
 def default_camera_extrinsic() -> RigidTransform3:
@@ -501,12 +499,12 @@ class SessionDataset:
     site: SiteModel | None = None
 
 
-def _tilt_series(n: int, sigma: float, rate: float, rng: np.random.Generator, tau: float = 2.0) -> np.ndarray:
-    """Stationary Ornstein-Uhlenbeck roll/pitch series, shape (n, 2)."""
+def _tilt_series(n: int, sigma: float, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Stationary Ornstein-Uhlenbeck roll/pitch series of correlation time TILT_TAU, shape (n, 2)."""
     out = np.zeros((n, 2))
     if sigma <= 0.0 or n == 0:
         return out
-    a = math.exp(-1.0 / (rate * tau))
+    a = math.exp(-1.0 / (rate * TILT_TAU))
     b = sigma * math.sqrt(1.0 - a * a)
     out[0] = sigma * rng.standard_normal(2)
     noise = rng.standard_normal((n, 2))
@@ -622,17 +620,15 @@ def simulate_session(
 def trajectory_ate(
     estimated: Sequence[tuple[Timestamp, PlanarPose]],
     reference: Sequence[tuple[Timestamp, PlanarPose]],
-    align: bool = True,
 ) -> float:
-    """RMS positional error over stamps the two trajectories share."""
+    """RMS positional error over shared stamps, after a rigid 2D fit of estimated onto reference."""
     ref_map = {int(s): p for s, p in reference}
     pairs = [(p, ref_map[int(s)]) for s, p in estimated if int(s) in ref_map]
     if not pairs:
         raise ValueError("trajectories share no timestamps")
     est = np.array([[p.x, p.y] for p, _ in pairs])
     ref = np.array([[q.x, q.y] for _, q in pairs])
-    if align:
-        theta, t = fit_rigid_2d(est, ref)
-        c, s = math.cos(theta), math.sin(theta)
-        est = est @ np.array([[c, -s], [s, c]]).T + t
+    theta, t = fit_rigid_2d(est, ref)
+    c, s = math.cos(theta), math.sin(theta)
+    est = est @ np.array([[c, -s], [s, c]]).T + t
     return float(np.sqrt(np.mean(np.sum((est - ref) ** 2, axis=1))))

@@ -618,7 +618,7 @@ def test_ply_roundtrip_plain_and_colored(tmp_path):
     assert back.session_stamp == 123456789
 
     colored = tmp_path / "colored.ply"
-    export_colored_view(cloud, colored, t_min=10.0, t_max=40.0)
+    export_colored_view(cloud, colored)
     back2 = read_ply(colored)
     assert np.array_equal(back2.positions, back.positions)
     assert np.array_equal(back2.temperatures, back.temperatures, equal_nan=True)
@@ -650,7 +650,7 @@ def test_read_ply_rejects_malformed(tmp_path):
 
 
 def test_rainbow_rgb_mapping():
-    rgb = rainbow_rgb(np.array([10.0, 17.5, 25.0, 32.5, 40.0]), t_min=10.0, t_max=40.0)
+    rgb = rainbow_rgb(np.array([10.0, 17.5, 25.0, 32.5, 40.0]))
     assert np.array_equal(
         rgb,
         [[0, 0, 255], [0, 255, 255], [0, 255, 0], [255, 255, 0], [255, 0, 0]],
@@ -660,8 +660,6 @@ def test_rainbow_rgb_mapping():
     assert np.array_equal(edge[0], [0, 0, 255])
     assert np.array_equal(edge[1], [255, 0, 0])
     assert np.array_equal(edge[2], [128, 128, 128])
-    with pytest.raises(ValueError):
-        rainbow_rgb(np.array([20.0]), t_min=5.0, t_max=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +836,58 @@ def test_cli_rejects_unknown_json_keys(tmp_path, capsys):
     rc = main(["simulate", "--site", "rectangle", "--traj", traj, "--noise", bad_noise, "--seed", "1", "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "fog" in capsys.readouterr().err
+
+
+_WALLS = [[0.0, 0.0, 4.0, 0.0], [4.0, 0.0, 4.0, 4.0], [4.0, 4.0, 0.0, 4.0], [0.0, 4.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "site, noise, traj, names",
+    [
+        ({"walls": _WALLS, "field": {"kind": "linear", "base": 20, "bogus": 1}}, {}, {}, ["site.json", "bogus"]),
+        ({"walls": _WALLS, "field": {"kind": "sine", "base": 20}}, {}, {}, ["site.json", "field", "amp"]),
+        ({"walls": _WALLS, "field": {"kind": "linear", "base": "warm"}}, {}, {}, ["site.json", "field base"]),
+        ({"walls": _WALLS, "field": {"kind": "lava"}}, {}, {}, ["site.json", "field", "lava"]),
+        ({"walls": _WALLS, "field": 5}, {}, {}, ["site.json", "field"]),
+        ({"walls": 5}, {}, {}, ["site.json", "walls"]),
+        ({"walls": [[0.0, [1.0], 4.0, 0.0]] + _WALLS[1:]}, {}, {}, ["site.json", "wall 0"]),
+        ({"walls": _WALLS, "ambient_c": [15]}, {}, {}, ["site.json", "ambient_c"]),
+        ({"walls": _WALLS}, {"range_sigma": [0.01]}, {}, ["noise.json", "range_sigma"]),
+        ({"walls": _WALLS}, {"gravity_tilt_sigma_deg": None}, {}, ["noise.json", "gravity_tilt_sigma_deg"]),
+        ({"walls": _WALLS}, {}, {"speed": [0.2]}, ["traj.json", "speed"]),
+    ],
+    ids=[
+        "field-unknown-parameter",
+        "field-missing-parameter",
+        "field-text-parameter",
+        "field-unknown-kind",
+        "field-not-object",
+        "walls-not-list",
+        "wall-coordinate-list",
+        "ambient-list",
+        "noise-list",
+        "noise-null",
+        "trajectory-list",
+    ],
+)
+def test_cli_rejects_malformed_json_values(tmp_path, capsys, site, noise, traj, names):
+    # Each file is otherwise valid; the one malformed value exits 2 with a
+    # one-line diagnostic that names the file and the offending key.
+    args = [
+        "simulate",
+        "--site", _write_json(tmp_path / "site.json", site),
+        "--traj", _write_json(tmp_path / "traj.json", {"waypoints": [[1.0, 1.0], [2.0, 1.0]], **traj}),
+        "--noise", _write_json(tmp_path / "noise.json", noise),
+        "--seed", "1",
+        "--out", str(tmp_path / "s"),
+    ]
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    for name in names:
+        assert name in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_turn_rate_degrees_drives_duration(tmp_path, capsys):

@@ -19,6 +19,7 @@ from thermoslam import (
     temperature_delta,
     transform_cloud,
 )
+import thermoslam.monitor as monitor
 import thermoslam.thermal_map as thermal_map
 from thermoslam.monitor import AlignmentError
 
@@ -83,15 +84,16 @@ def test_icp_align_uses_initial_guess():
     assert rms < 1e-6
 
 
-def test_icp_align_raises_when_residual_exceeds_limit():
+def test_icp_align_raises_when_residual_exceeds_limit(monkeypatch):
     reference = _box_cloud()
     rng = np.random.default_rng(13)
     moving = ThermalPointCloud(
         reference.positions + rng.normal(0.0, 0.02, reference.positions.shape),
         reference.temperatures.copy(),
     )
+    monkeypatch.setattr(monitor, "ICP_MAX_RMS", 1e-4)
     with pytest.raises(AlignmentError):
-        icp_align(reference, moving, max_rms=1e-4)
+        icp_align(reference, moving)
 
 
 def test_icp_align_coarse_stage_thins_through_thermal_map(monkeypatch):
@@ -104,9 +106,10 @@ def test_icp_align_coarse_stage_thins_through_thermal_map(monkeypatch):
         return original(positions, temperatures, voxel_size)
 
     monkeypatch.setattr(thermal_map, "voxel_thin", counting)
+    monkeypatch.setattr(monitor, "ICP_COARSE_VOXEL", 0.25)
     reference = _box_cloud()
     moving = transform_cloud(reference, planar_to_rigid3(PlanarPose(0.05, -0.03, 0.02)))
-    icp_align(reference, moving, coarse_voxel=0.25)
+    icp_align(reference, moving)
     assert calls == [(len(reference), 0.25), (len(moving), 0.25)]
 
 

@@ -18,6 +18,7 @@ from thermoslam import (
     match_scans,
     optimize,
 )
+from thermoslam import pose_graph
 from thermoslam.pose_graph import objective, relative_pose_residuals
 
 
@@ -220,14 +221,13 @@ def _room_scans(poses: list[PlanarPose], n: int = 160, half: float = 2.0) -> lis
     return [ProjectedScan(k, inverse(p).apply(world)) for k, p in enumerate(poses)]
 
 
-def test_detect_loop_closures_finds_revisit():
+def test_detect_loop_closures_finds_revisit(monkeypatch):
     poses = [PlanarPose(0.04 * k, 0.0, 0.01 * k) for k in range(12)]
     scans = _room_scans(poses)
     # Corner beams have no flat-wall correspondence and saturate, so the
     # cost gate sits above that floor but far below a bad match.
-    edges, rejected, _ = detect_loop_closures(
-        scans, poses, min_index_gap=10, max_distance=2.0, max_cost=0.02
-    )
+    monkeypatch.setattr(pose_graph, "LOOP_MAX_COST", 0.02)
+    edges, rejected, _ = detect_loop_closures(scans, poses)
     assert rejected == 0
     assert [(e.from_id, e.to_id) for e in edges] == [(0, 11)]
     assert edges[0].kind == "loop_closure"
@@ -237,17 +237,18 @@ def test_detect_loop_closures_finds_revisit():
     assert abs(got.theta - truth.theta) < 1e-6
 
 
-def test_detect_loop_closures_gates():
+def test_detect_loop_closures_gates(monkeypatch):
     poses = [PlanarPose(0.04 * k, 0.0, 0.0) for k in range(12)]
     scans = _room_scans(poses)
     # Unreachable inlier ratio turns the one candidate into a rejection.
-    edges, rejected, associations = detect_loop_closures(
-        scans, poses, min_index_gap=10, max_distance=2.0, min_inlier_ratio=1.1
-    )
+    monkeypatch.setattr(pose_graph, "LOOP_MIN_INLIER_RATIO", 1.1)
+    edges, rejected, associations = detect_loop_closures(scans, poses)
     assert edges == [] and rejected == 1
     assert associations == match_scans(scans[0], scans[11], compose(inverse(poses[0]), poses[11])).associations
     # A distance gate below the node spacing leaves no candidates at all.
-    edges, rejected, associations = detect_loop_closures(scans, poses, min_index_gap=10, max_distance=0.1)
+    monkeypatch.setattr(pose_graph, "LOOP_MIN_INLIER_RATIO", 0.6)
+    monkeypatch.setattr(pose_graph, "LOOP_MAX_DISTANCE", 0.1)
+    edges, rejected, associations = detect_loop_closures(scans, poses)
     assert edges == [] and rejected == 0 and associations == 0
     with pytest.raises(ValueError):
         detect_loop_closures(scans, poses[:-1])

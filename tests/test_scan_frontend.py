@@ -18,6 +18,7 @@ from thermoslam import (
     planar_to_rigid3,
     uniform_field,
 )
+from thermoslam import scan_frontend
 from thermoslam.cli_io import run_mapping
 from thermoslam.core import ImuSeries
 from thermoslam.scan_frontend import (
@@ -77,15 +78,16 @@ def test_filter_gravity_constant_stream_is_unit_direction():
 
 
 def test_filter_gravity_converges_to_new_direction():
-    out = filter_gravity(_imu(range(200), [(5.0, 0.0, -8.0)] + [(0.0, 0.0, -9.81)] * 199), alpha=0.05)
+    out = filter_gravity(_imu(range(200), [(5.0, 0.0, -8.0)] + [(0.0, 0.0, -9.81)] * 199))
     assert out[-1] @ np.array([0.0, 0.0, -1.0]) > 0.9999
 
 
-def test_filter_gravity_equals_a_per_sample_loop_bit_for_bit():
+def test_filter_gravity_equals_a_per_sample_loop_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(22)
     accel = np.array([0.0, 0.0, -9.80665]) + rng.normal(0.0, 0.3, (500, 3))
     imu = _imu(np.arange(500) * 10_000_000, accel)
     for alpha in (0.05, 0.3, 1.0):
+        monkeypatch.setattr(scan_frontend, "GRAVITY_ALPHA", alpha)
         # The reference filters one reading at a time, from Python floats.
         rows = [tuple(float(v) for v in row) for row in accel]
         state = np.array(rows[0])
@@ -93,28 +95,28 @@ def test_filter_gravity_equals_a_per_sample_loop_bit_for_bit():
         for row in rows:
             state = (1.0 - alpha) * state + alpha * np.array(row)
             expected.append(state / np.linalg.norm(state))
-        assert filter_gravity(imu, alpha=alpha).tobytes() == np.array(expected).tobytes()
+        assert filter_gravity(imu).tobytes() == np.array(expected).tobytes()
 
 
-def test_filter_gravity_validation():
+def test_filter_gravity_validation(monkeypatch):
     with pytest.raises(ValueError, match="empty"):
         filter_gravity(_imu([], []))
-    with pytest.raises(ValueError):
-        filter_gravity(_imu([0], [(0, 0, -9.8)]), alpha=0.0)
     # Opposite readings average to the zero vector.
+    monkeypatch.setattr(scan_frontend, "GRAVITY_ALPHA", 0.5)
     with pytest.raises(ValueError, match="collapsed"):
-        filter_gravity(_imu([0, 1], [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]), alpha=0.5)
+        filter_gravity(_imu([0, 1], [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]))
 
 
-def test_associate_gravity_nearest_with_tie_to_earlier():
+def test_associate_gravity_nearest_with_tie_to_earlier(monkeypatch):
     def scan(stamp):
         return Scan2D(stamp, 0.0, 0.1, [1.0, 1.0])
 
     stamps = np.array([0, 100, 200], dtype=np.int64)
-    # 50 ties between 0 and 100; -200 and 400 lie exactly max_offset_ns
-    # outside the stream, 401 one nanosecond farther.
+    # 50 ties between 0 and 100; -200 and 400 lie exactly the pairing
+    # window outside the stream, 401 one nanosecond farther.
+    monkeypatch.setattr(scan_frontend, "GRAVITY_MAX_OFFSET_NS", 200)
     scans = [scan(-200), scan(49), scan(50), scan(51), scan(151), scan(400), scan(401), scan(500)]
-    pairs, dropped = associate_gravity(scans, stamps, max_offset_ns=200)
+    pairs, dropped = associate_gravity(scans, stamps)
     assert dropped == 2
     assert [(s.stamp, i) for s, i in pairs] == [(-200, 0), (49, 0), (50, 0), (51, 1), (151, 2), (400, 2)]
 

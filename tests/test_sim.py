@@ -21,6 +21,7 @@ from thermoslam import (
     two_room_site,
     uniform_field,
 )
+from thermoslam import sim
 from thermoslam.cli_io import save_session
 from thermoslam.core import fit_rigid_2d, rotation_about_z
 from thermoslam.sim import (
@@ -99,9 +100,10 @@ def test_intersect_rays_miss_and_over_wall():
     assert not np.isfinite(dist[0])
 
 
-def test_raycast_scan_matches_analytic_ranges():
+def test_raycast_scan_matches_analytic_ranges(monkeypatch):
+    monkeypatch.setattr(sim, "BEAM_COUNT", 8)
     site = _square_site(half=2.0)
-    scan = raycast_scan(site, _pose3(0.0, 0.0, 1.0), beam_count=8, fov=2.0 * math.pi, range_max=15.0, stamp=5)
+    scan = raycast_scan(site, _pose3(0.0, 0.0, 1.0), stamp=5)
     assert scan.stamp == 5
     # The sweep starts at -pi, so beams 0 and 2 are axis-aligned wall-center
     # hits at exactly 2 m, and beam 1 reaches the (-2, -2) corner.
@@ -110,10 +112,20 @@ def test_raycast_scan_matches_analytic_ranges():
     assert scan.ranges[1] == pytest.approx(2.0 * math.sqrt(2.0))
 
 
-def test_raycast_scan_range_max_drops_returns():
+def test_raycast_scan_range_max_drops_returns(monkeypatch):
+    monkeypatch.setattr(sim, "BEAM_COUNT", 8)
+    monkeypatch.setattr(sim, "RANGE_MAX", 1.5)
     site = _square_site(half=2.0)
-    scan = raycast_scan(site, _pose3(0.0, 0.0, 1.0), beam_count=8, range_max=1.5)
+    scan = raycast_scan(site, _pose3(0.0, 0.0, 1.0))
     assert np.isnan(scan.ranges).all()
+
+
+def test_raycast_scan_noise_needs_a_generator():
+    site = _square_site(half=2.0)
+    with pytest.raises(ValueError, match="random generator"):
+        raycast_scan(site, _pose3(0.0, 0.0, 1.0), noise=NoiseSpec(range_sigma=0.05))
+    with pytest.raises(ValueError, match="random generator"):
+        raycast_scan(site, _pose3(0.0, 0.0, 1.0), noise=NoiseSpec(range_dropout_prob=0.1))
 
 
 def _intersect_rays_broadcast(site, origins, directions):
@@ -410,7 +422,6 @@ def test_align_trajectory_2d_recovers_offset():
 def test_trajectory_ate_alignment_and_errors():
     truth = [(k, PlanarPose(0.1 * k, 0.0, 0.0)) for k in range(20)]
     shifted = [(k, PlanarPose(0.1 * k + 1.0, 0.5, 0.0)) for k in range(20)]
-    assert trajectory_ate(shifted, truth, align=True) == pytest.approx(0.0, abs=1e-12)
-    assert trajectory_ate(shifted, truth, align=False) == pytest.approx(math.hypot(1.0, 0.5))
+    assert trajectory_ate(shifted, truth) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         trajectory_ate([(100, PlanarPose())], truth)
