@@ -246,7 +246,6 @@ def test_detect_loop_closures_gates(monkeypatch):
     assert edges == [] and rejected == 1
     assert associations == match_scans(scans[0], scans[11], compose(inverse(poses[0]), poses[11])).associations
     # A distance gate below the node spacing leaves no candidates at all.
-    monkeypatch.setattr(pose_graph, "LOOP_MIN_INLIER_RATIO", 0.6)
     monkeypatch.setattr(pose_graph, "LOOP_MAX_DISTANCE", 0.1)
     edges, rejected, associations = detect_loop_closures(scans, poses)
     assert edges == [] and rejected == 0 and associations == 0

@@ -12,8 +12,8 @@ from thermoslam.cli_io import formats, pipeline
 
 @pytest.mark.parametrize("module", [scan_frontend, pose_graph, monitor, thermal_map, formats, pipeline])
 def test_public_functions_take_no_numeric_defaults(module):
-    # A bool default such as a data mask is not a setting; bool is an int
-    # subclass, so it is let through by name.
+    # A bool default, such as a data mask, is not a setting; bool is an int
+    # subclass, so it is excluded explicitly.
     offenders = [
         f"{name}({parameter.name}={parameter.default!r})"
         for name, function in inspect.getmembers(module, inspect.isfunction)
