@@ -403,6 +403,22 @@ def test_simulated_session_pins_bytes(tmp_path):
     assert _tree_sha256(tmp_path) == PINNED_SESSION_SHA256
 
 
+# One lap of the 4-wall room with a sine field, so both bundled sites are
+# pinned at session level.
+PINNED_RECTANGLE_FIELD = {"kind": "sine", "base": 22.0, "amp": 3.0, "kx": 0.8, "ky": 0.5, "gz": 0.5}
+PINNED_RECTANGLE_WAYPOINTS = ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0))
+PINNED_RECTANGLE_SESSION_SHA256 = "bba1544410a1141911f0a5f5dce0d52e158a9bb5393549ae8ad8c1fea0b1aa08"
+
+
+def test_simulated_rectangle_session_pins_bytes(tmp_path):
+    noise = NoiseSpec(gravity_tilt_sigma=math.radians(1.5), thermal_noise_sigma=0.5)
+    traj = TrajectorySpec(waypoints=PINNED_RECTANGLE_WAYPOINTS, speed=1.0, turn_rate=math.radians(90.0))
+    dataset = simulate_session(rectangle_site(field_config=PINNED_RECTANGLE_FIELD), traj, noise, seed=7)
+    assert (len(dataset.scans), len(dataset.imu), len(dataset.frames)) == (110, 1100, 55)
+    save_session(dataset, tmp_path)
+    assert _tree_sha256(tmp_path) == PINNED_RECTANGLE_SESSION_SHA256
+
+
 # ---------------------------------------------------------------------------
 # Trajectory evaluation.
 
