@@ -62,9 +62,12 @@ def _reject_unknown(data: dict, allowed: set[str], path: Path) -> None:
 
 def _number(value: object, path: Path, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: {key} must be a number, got {json.dumps(value)}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{path}: {key} must be a finite number, got {json.dumps(value)}")
+    return number
 
 
 def _load_trajectory(path: Path) -> TrajectorySpec:
@@ -82,7 +85,10 @@ def _load_trajectory(path: Path) -> TrajectorySpec:
     kwargs = {key: _number(data[key], path, key) for key in keys if key in data}
     if "turn_rate_deg_s" in data:
         kwargs["turn_rate"] = math.radians(_number(data["turn_rate_deg_s"], path, "turn_rate_deg_s"))
-    return TrajectorySpec(waypoints=waypoints, **kwargs)
+    try:
+        return TrajectorySpec(waypoints=waypoints, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_noise(path: Path) -> NoiseSpec:
@@ -104,7 +110,10 @@ def _load_noise(path: Path) -> NoiseSpec:
     if "gravity_tilt_sigma_deg" in data:
         tilt_deg = _number(data["gravity_tilt_sigma_deg"], path, "gravity_tilt_sigma_deg")
         kwargs["gravity_tilt_sigma"] = math.radians(tilt_deg)
-    return NoiseSpec(**kwargs)
+    try:
+        return NoiseSpec(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_site(spec: str) -> SiteModel:

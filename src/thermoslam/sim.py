@@ -3,8 +3,13 @@
 Generates range scans, IMU gravity samples, and radiometric thermal frames
 for a site made of vertical wall segments with an analytic temperature
 field, along with ground truth for every derived quantity. Scan raycasting
-and thermal rendering share one ray-segment intersection routine so the two
-sensors see exactly the same geometry.
+and thermal rendering share one per-wall ray-segment intersection routine
+so the two sensors see exactly the same geometry. A scan casts every beam
+against every wall; a thermal frame casts each wall only against the pixels
+of its image block, the bounding box of the wall quad's pinhole projection
+clipped at a near depth below any accepted hit and widened by
+BLOCK_MARGIN_PX, which leaves every pixel bit-identical to an all-rays
+render.
 
 The simulated rig is fixed by the module constants below: the scanner's
 beam count, field of view and range, its height above the floor, the
@@ -16,6 +21,7 @@ Calibration's default thermal encoding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,6 +50,11 @@ SENSOR_HEIGHT = 0.6  # m, scanner above the floor
 VERTICAL_STEP = 0.1  # m, spacing of the extruded levels
 INTRINSICS = CameraIntrinsics(fx=140.0, fy=140.0, cx=79.5, cy=59.5, width=160, height=120)
 TILT_TAU = 2.0  # s, correlation time of the platform's roll/pitch wander
+
+# Thermal rendering casts each wall only against its image block.
+BLOCK_MARGIN_PX = 1  # px, widening of each wall's projected bounding box
+BLOCK_NEAR_T = 5e-10  # near clip, as a ray parameter: half intersect_rays' 1e-9 floor
+BLOCK_Z_PAD = 1e-9  # m, quad padding past the 1e-12 z tolerance of a hit
 
 # Temperature field: callable (x, y, z, wall_id) -> degC, vectorized over
 # equal-length arrays. wall_id is -1 for off-wall queries (ambient haze).
@@ -118,12 +129,45 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("range_sigma", "gravity_tilt_sigma", "accel_noise_sigma", "thermal_noise_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 <= self.range_dropout_prob <= 1.0:
             raise ValueError("range_dropout_prob must be in [0, 1]")
         if not 0.0 <= self.haze_attenuation <= 1.0:
             raise ValueError("haze_attenuation must be in [0, 1]")
+
+
+def _hit_wall(site: SiteModel, k: int, origin, direction, dist: np.ndarray, wall: np.ndarray) -> None:
+    """Take wall k's hit for each ray where it is nearer than dist, in place.
+
+    origin and direction are (x, y, z) component tuples that broadcast
+    against dist and wall, which may be views into larger arrays. Strict <
+    keeps the earlier (lower-index) wall on a tie.
+    """
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    x1, y1 = site._p1[k]
+    ex, ey = site._p2[k] - site._p1[k]
+    top = site._heights[k] + 1e-12
+    # Solve o_xy + t * d_xy = p1 + s * e for every ray against segment k.
+    rel_x = x1 - ox
+    rel_y = y1 - oy
+    denom = dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel_x * ey - rel_y * ex) / denom
+        s = (rel_x * dy - rel_y * dx) / denom
+        z_hit = oz + t * dz
+    closer = (
+        (np.abs(denom) > 1e-15)
+        & (t > 1e-9)
+        & (s >= 0.0)
+        & (s <= 1.0)
+        & (z_hit >= -1e-12)
+        & (z_hit <= top)
+        & (t < dist)
+    )
+    dist[closer] = t[closer]
+    wall[closer] = k
 
 
 def intersect_rays(site: SiteModel, origins: np.ndarray, directions: np.ndarray):
@@ -139,33 +183,11 @@ def intersect_rays(site: SiteModel, origins: np.ndarray, directions: np.ndarray)
     """
     o = np.atleast_2d(np.asarray(origins, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
     n = max(len(o), len(d))
     dist = np.full(n, np.inf)
     wall = np.full(n, -1, dtype=np.intp)
-
-    # Solve o_xy + t * d_xy = p1 + s * e for every ray against segment k.
-    for k, ((x1, y1), (ex, ey), top) in enumerate(zip(site._p1, site._p2 - site._p1, site._heights + 1e-12)):
-        rel_x = x1 - ox
-        rel_y = y1 - oy
-        denom = dx * ey - dy * ex
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rel_x * ey - rel_y * ex) / denom
-            s = (rel_x * dy - rel_y * dx) / denom
-            z_hit = oz + t * dz
-        # Strict < keeps the first (lowest-index) wall on a tie.
-        closer = (
-            (np.abs(denom) > 1e-15)
-            & (t > 1e-9)
-            & (s >= 0.0)
-            & (s <= 1.0)
-            & (z_hit >= -1e-12)
-            & (z_hit <= top)
-            & (t < dist)
-        )
-        dist[closer] = t[closer]
-        wall[closer] = k
+    for k in range(len(site.walls)):
+        _hit_wall(site, k, o.T, d.T, dist, wall)
     # inf * 0 in the miss rows would warn; they are overwritten anyway.
     with np.errstate(invalid="ignore"):
         hits = o + dist[:, None] * d
@@ -207,6 +229,74 @@ def raycast_scan(
     return Scan2D(stamp, float(angles[0]), float(increment), ranges)
 
 
+@functools.lru_cache(maxsize=8)
+def _camera_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Unit camera-frame ray of every pixel, row-major, as a read-only (h * w, 3) array."""
+    w, h = intrinsics.width, intrinsics.height
+    u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    rays_cam = np.column_stack(
+        [
+            ((u - intrinsics.cx) / intrinsics.fx).ravel(),
+            ((v - intrinsics.cy) / intrinsics.fy).ravel(),
+            np.ones(w * h),
+        ]
+    )
+    rays_cam /= np.linalg.norm(rays_cam, axis=1, keepdims=True)
+    rays_cam.setflags(write=False)
+    return rays_cam
+
+
+def _image_blocks(site: SiteModel, camera_pose: RigidTransform3, intrinsics: CameraIntrinsics, near: float):
+    """Pixel block (row slice, column slice) of each wall, or None where a wall cannot be hit.
+
+    The block bounds the pinhole projection of the wall quad, padded by
+    BLOCK_Z_PAD in z and clipped at depth `near`, widened by
+    BLOCK_MARGIN_PX and clamped to the image.
+    """
+    lo = np.full(len(site.walls), -BLOCK_Z_PAD)
+    hi = site._heights + BLOCK_Z_PAD
+    quads = np.stack(
+        [
+            np.column_stack([site._p1, lo]),
+            np.column_stack([site._p2, lo]),
+            np.column_stack([site._p2, hi]),
+            np.column_stack([site._p1, hi]),
+        ],
+        axis=1,
+    )  # (S, 4, 3), corners in order around the quad
+    corners = quads @ camera_pose.rotation.T + camera_pose.translation
+    nxt = np.roll(corners, -1, axis=1)
+    z, z_next = corners[..., 2], nxt[..., 2]
+    front = z >= near
+    crossing = front != (z_next >= near)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = corners + ((near - z) / (z_next - z))[..., None] * (nxt - corners)
+    cut[..., 2] = near
+    # The near-clipped quad is the corners in front plus the edge cuts.
+    points = np.concatenate([corners, cut], axis=1)
+    keep = np.concatenate([front, crossing], axis=1)
+    depth = np.where(keep, points[..., 2], 1.0)
+    u = intrinsics.fx * points[..., 0] / depth + intrinsics.cx
+    v = intrinsics.fy * points[..., 1] / depth + intrinsics.cy
+    w, h = intrinsics.width, intrinsics.height
+    blocks = []
+    for k in range(len(site.walls)):
+        if not keep[k].any():
+            blocks.append(None)
+            continue
+        c0, c1 = _pixel_span(u[k][keep[k]], w)
+        r0, r1 = _pixel_span(v[k][keep[k]], h)
+        blocks.append((slice(r0, r1), slice(c0, c1)) if c0 < c1 and r0 < r1 else None)
+    return blocks
+
+
+def _pixel_span(coords: np.ndarray, size: int) -> tuple[int, int]:
+    """Half-open index range [first, stop) of the pixels within BLOCK_MARGIN_PX of coords' range."""
+    first = math.floor(max(float(coords.min()), -1.0)) - BLOCK_MARGIN_PX
+    last = math.ceil(min(float(coords.max()), float(size))) + BLOCK_MARGIN_PX
+    return max(first, 0), min(last, size - 1) + 1
+
+
 def render_thermal(
     site: SiteModel,
     camera_pose: RigidTransform3,
@@ -221,32 +311,39 @@ def render_thermal(
     convention project_to_thermal consumes). Pixels whose rays miss every
     wall read the site ambient temperature; noise's haze blends wall
     readings toward ambient, and its pixel noise draws from rng.
+
+    Each wall is cast only against the rays of its image block: the pixel
+    bounding box of its quad's projection, clipped at a near depth below
+    that of any accepted hit and widened by BLOCK_MARGIN_PX. A ray outside
+    a wall's block cannot hit that wall, so the frame is bit-identical to
+    casting every ray against every wall.
     """
     w, h = intrinsics.width, intrinsics.height
+    rays_cam = _camera_rays(intrinsics)
     cam_to_world = camera_pose.inverse()
-    u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    rays_cam = np.column_stack(
-        [
-            ((u - intrinsics.cx) / intrinsics.fx).ravel(),
-            ((v - intrinsics.cy) / intrinsics.fy).ravel(),
-            np.ones(w * h),
-        ]
-    )
-    rays_cam /= np.linalg.norm(rays_cam, axis=1, keepdims=True)
     rays_world = rays_cam @ cam_to_world.rotation.T
-    dist, hits, wall = intersect_rays(site, cam_to_world.translation[None, :], rays_world)
-    hit_mask = np.isfinite(dist)
-    temps = np.full(w * h, site.ambient_c)
-    if np.any(hit_mask):
-        temps[hit_mask] = site.sample_temperature(hits[hit_mask], wall[hit_mask])
+    direction = np.ascontiguousarray(rays_world.T).reshape(3, h, w)
+    origin = cam_to_world.translation
+    dist = np.full((h, w), np.inf)
+    wall = np.full((h, w), -1, dtype=np.intp)
+    # intersect_rays accepts t > 1e-9, so no hit is nearer than this depth.
+    near = BLOCK_NEAR_T * float(rays_cam[:, 2].min())
+    for k, block in enumerate(_image_blocks(site, camera_pose, intrinsics, near)):
+        if block is not None:
+            _hit_wall(site, k, origin, direction[(slice(None), *block)], dist[block], wall[block])
+    hit = np.isfinite(dist)
+    temps = np.full((h, w), site.ambient_c)
+    if np.any(hit):
+        t = dist[hit]
+        hits = np.column_stack([origin[j] + t * direction[j][hit] for j in range(3)])
+        temps[hit] = site.sample_temperature(hits, wall[hit])
     haze = float(noise.haze_attenuation)
     if haze > 0.0:
         temps = (1.0 - haze) * temps + haze * site.ambient_c
-        temps[~hit_mask] = site.ambient_c
+        temps[~hit] = site.ambient_c
     if noise.thermal_noise_sigma > 0.0:
-        temps = temps + noise.thermal_noise_sigma * rng.standard_normal(w * h)
-    temps = np.clip(temps, -39.0, 299.0)
-    return ThermalImage(stamp, temps.reshape(h, w))
+        temps = temps + noise.thermal_noise_sigma * rng.standard_normal(w * h).reshape(h, w)
+    return ThermalImage(stamp, np.clip(temps, -39.0, 299.0))
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +493,17 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
             raise ValueError("trajectory needs at least one waypoint")
-        if self.speed <= 0.0 or self.turn_rate <= 0.0:
-            raise ValueError("speed and turn_rate must be > 0")
-        if min(self.scan_rate, self.imu_rate, self.thermal_rate) <= 0.0:
-            raise ValueError("sensor rates must be > 0")
+        for name in ("speed", "turn_rate", "scan_rate", "imu_rate", "thermal_rate"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
+        if not (math.isfinite(self.hold_s) and self.hold_s >= 0.0):
+            raise ValueError("hold_s must be finite and >= 0")
         if self.imu_rate < self.scan_rate:
             raise ValueError("IMU rate must be at least the scan rate")
-        object.__setattr__(self, "waypoints", tuple((float(x), float(y)) for x, y in self.waypoints))
+        waypoints = tuple((float(x), float(y)) for x, y in self.waypoints)
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in waypoints):
+            raise ValueError("waypoints must be finite")
+        object.__setattr__(self, "waypoints", waypoints)
 
 
 @dataclass(frozen=True)

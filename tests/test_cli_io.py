@@ -855,6 +855,17 @@ _WALLS = [[0.0, 0.0, 4.0, 0.0], [4.0, 0.0, 4.0, 4.0], [4.0, 4.0, 0.0, 4.0], [0.0
         ({"walls": _WALLS}, {"range_sigma": [0.01]}, {}, ["noise.json", "range_sigma"]),
         ({"walls": _WALLS}, {"gravity_tilt_sigma_deg": None}, {}, ["noise.json", "gravity_tilt_sigma_deg"]),
         ({"walls": _WALLS}, {}, {"speed": [0.2]}, ["traj.json", "speed"]),
+        ({"walls": _WALLS}, {"range_sigma": math.nan}, {}, ["noise.json", "range_sigma"]),
+        ({"walls": _WALLS}, {"gravity_tilt_sigma_deg": math.inf}, {}, ["noise.json", "gravity_tilt_sigma_deg"]),
+        ({"walls": _WALLS}, {"accel_noise_sigma": -math.inf}, {}, ["noise.json", "accel_noise_sigma"]),
+        ({"walls": _WALLS}, {"thermal_noise_sigma": math.inf}, {}, ["noise.json", "thermal_noise_sigma"]),
+        ({"walls": _WALLS}, {}, {"speed": math.inf}, ["traj.json", "speed"]),
+        ({"walls": _WALLS}, {}, {"turn_rate_deg_s": math.nan}, ["traj.json", "turn_rate_deg_s"]),
+        ({"walls": _WALLS}, {}, {"scan_rate": math.nan}, ["traj.json", "scan_rate"]),
+        ({"walls": _WALLS}, {}, {"imu_rate": math.nan}, ["traj.json", "imu_rate"]),
+        ({"walls": _WALLS}, {}, {"hold_s": -1.0}, ["traj.json", "hold_s"]),
+        ({"walls": _WALLS}, {}, {"hold_s": math.nan}, ["traj.json", "hold_s"]),
+        ({"walls": _WALLS}, {}, {"waypoints": [[1.0, 1.0], [math.nan, 1.0]]}, ["traj.json", "waypoints"]),
     ],
     ids=[
         "field-unknown-parameter",
@@ -868,6 +879,17 @@ _WALLS = [[0.0, 0.0, 4.0, 0.0], [4.0, 0.0, 4.0, 4.0], [4.0, 4.0, 0.0, 4.0], [0.0
         "noise-list",
         "noise-null",
         "trajectory-list",
+        "noise-nan",
+        "noise-tilt-inf",
+        "noise-accel-minus-inf",
+        "noise-thermal-inf",
+        "trajectory-speed-inf",
+        "trajectory-turn-rate-nan",
+        "trajectory-scan-rate-nan",
+        "trajectory-imu-rate-nan",
+        "trajectory-hold-negative",
+        "trajectory-hold-nan",
+        "trajectory-waypoint-nan",
     ],
 )
 def test_cli_rejects_malformed_json_values(tmp_path, capsys, site, noise, traj, names):

@@ -221,6 +221,95 @@ def test_intersect_rays_corner_tie_goes_to_lowest_wall():
 
 
 # ---------------------------------------------------------------------------
+# Thermal rendering.
+
+
+def _render_thermal_all_rays(site, camera_pose, intrinsics, noise, rng, stamp=0):
+    """Reference: every pixel ray cast against every wall."""
+    w, h = intrinsics.width, intrinsics.height
+    cam_to_world = camera_pose.inverse()
+    u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    rays_cam = np.column_stack(
+        [
+            ((u - intrinsics.cx) / intrinsics.fx).ravel(),
+            ((v - intrinsics.cy) / intrinsics.fy).ravel(),
+            np.ones(w * h),
+        ]
+    )
+    rays_cam /= np.linalg.norm(rays_cam, axis=1, keepdims=True)
+    rays_world = rays_cam @ cam_to_world.rotation.T
+    dist, hits, wall = intersect_rays(site, cam_to_world.translation[None, :], rays_world)
+    hit_mask = np.isfinite(dist)
+    temps = np.full(w * h, site.ambient_c)
+    if np.any(hit_mask):
+        temps[hit_mask] = site.sample_temperature(hits[hit_mask], wall[hit_mask])
+    haze = float(noise.haze_attenuation)
+    if haze > 0.0:
+        temps = (1.0 - haze) * temps + haze * site.ambient_c
+        temps[~hit_mask] = site.ambient_c
+    if noise.thermal_noise_sigma > 0.0:
+        temps = temps + noise.thermal_noise_sigma * rng.standard_normal(w * h)
+    temps = np.clip(temps, -39.0, 299.0)
+    return sim.ThermalImage(stamp, temps.reshape(h, w))
+
+
+def _camera_pose(x, y, z, yaw, roll=0.0, pitch=0.0) -> RigidTransform3:
+    """World-to-camera pose of the rig's camera, its scanner at (x, y, z) with the given attitude."""
+    sensor = RigidTransform3(sim._attitude(yaw, roll, pitch), np.array([x, y, z]))
+    return sim.default_camera_extrinsic().compose(sensor.inverse())
+
+
+def _assert_render_matches_all_rays(site, pose, noise, seed):
+    got = sim.render_thermal(site, pose, sim.INTRINSICS, noise, np.random.default_rng(seed), stamp=seed)
+    ref = _render_thermal_all_rays(site, pose, sim.INTRINSICS, noise, np.random.default_rng(seed), stamp=seed)
+    assert got.stamp == ref.stamp
+    assert np.array_equal(got.temperatures, ref.temperatures)
+    return got.temperatures
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        two_room_site(),
+        rectangle_site(field_config={"kind": "sine", "base": 22.0, "amp": 3.0, "kx": 2.1, "ky": 1.3, "gz": 0.9}),
+    ],
+    ids=["two_room", "rectangle"],
+)
+def test_render_thermal_blocks_match_all_rays_on_random_poses(site):
+    lo = np.minimum(site._p1, site._p2).min(axis=0)
+    hi = np.maximum(site._p1, site._p2).max(axis=0)
+    noises = [NoiseSpec(), NoiseSpec(haze_attenuation=0.3, thermal_noise_sigma=0.5)]
+    tilt = math.radians(3.0)
+    rng = np.random.default_rng(26)
+    ambient = 0
+    for i in range(120):
+        x, y = rng.uniform(lo + 0.01, hi - 0.01)
+        if site.distance_to_walls([[x, y]])[0] < 1e-3:
+            continue
+        pose = _camera_pose(x, y, rng.uniform(0.05, 2.8), rng.uniform(-math.pi, math.pi), *rng.uniform(-tilt, tilt, 2))
+        temps = _assert_render_matches_all_rays(site, pose, noises[i % 2], seed=i)
+        ambient += int(np.any(temps == site.ambient_c))
+    assert ambient > 0  # some views see past the walls' top or bottom edge
+    # Within 1 cm of a wall: facing it, along it and away from it; then
+    # into corners, and from above and below the wall tops.
+    width, depth = hi - lo
+    special = [
+        (lo[0] + 0.5 * width, lo[1] + 0.01, 0.6, -0.5 * math.pi),
+        (lo[0] + 0.5 * width, lo[1] + 0.01, 0.6, 0.0),
+        (lo[0] + 0.5 * width, lo[1] + 0.005, 1.2, math.pi),
+        (lo[0] + 0.5 * width, lo[1] + 0.01, 0.6, 0.5 * math.pi),
+        (lo[0] + 0.01, lo[1] + 0.01, 0.6, -0.75 * math.pi),
+        (lo[0] + 0.5, lo[1] + 0.5, 0.6, -0.75 * math.pi),
+        (hi[0] - 0.5, hi[1] - 0.5, 1.5, 0.25 * math.pi),
+        (lo[0] + 0.4, lo[1] + 0.4, 2.99, 0.25 * math.pi),
+        (lo[0] + 0.4, lo[1] + 0.4, 0.01, 0.25 * math.pi),
+    ]
+    for j, (x, y, z, yaw) in enumerate(special):
+        for roll, pitch in [(0.0, 0.0), (tilt, -tilt), (-tilt, tilt)]:
+            _assert_render_matches_all_rays(site, _camera_pose(x, y, z, yaw, roll, pitch), noises[j % 2], seed=j)
+
+
+# ---------------------------------------------------------------------------
 # Temperature fields.
 
 
@@ -273,6 +362,29 @@ def test_trajectory_spec_validation():
         TrajectorySpec(waypoints=((0.0, 0.0),), imu_rate=5.0, scan_rate=10.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"speed": math.inf}, "speed"),
+        ({"speed": math.nan}, "speed"),
+        ({"turn_rate": math.inf}, "turn_rate"),
+        ({"turn_rate": math.nan}, "turn_rate"),
+        ({"scan_rate": math.nan}, "scan_rate"),
+        ({"imu_rate": math.nan}, "imu_rate"),
+        ({"imu_rate": math.inf}, "imu_rate"),
+        ({"thermal_rate": math.nan}, "thermal_rate"),
+        ({"hold_s": -1.0}, "hold_s"),
+        ({"hold_s": math.nan}, "hold_s"),
+        ({"hold_s": math.inf}, "hold_s"),
+        ({"waypoints": ((0.0, 0.0), (math.nan, 1.0))}, "waypoints"),
+        ({"waypoints": ((math.inf, 0.0),)}, "waypoints"),
+    ],
+)
+def test_trajectory_spec_rejects_non_finite_values(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        TrajectorySpec(**{"waypoints": ((0.0, 0.0), (1.0, 0.0)), **kwargs})
+
+
 def test_timeline_moves_at_constant_speed():
     traj = TrajectorySpec(waypoints=((0.0, 0.0), (2.0, 0.0)), speed=0.5)
     timeline = Timeline(traj)
@@ -313,6 +425,13 @@ def test_noise_spec_validation():
         NoiseSpec(range_dropout_prob=1.5)
     with pytest.raises(ValueError):
         NoiseSpec(haze_attenuation=-0.2)
+    for name in ("range_sigma", "gravity_tilt_sigma", "accel_noise_sigma", "thermal_noise_sigma"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                NoiseSpec(**{name: value})
+    for name in ("range_dropout_prob", "haze_attenuation"):
+        with pytest.raises(ValueError, match=name):
+            NoiseSpec(**{name: math.nan})
 
 
 # ---------------------------------------------------------------------------
