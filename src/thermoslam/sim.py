@@ -247,7 +247,7 @@ def _camera_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
 
 
 def _image_blocks(site: SiteModel, camera_pose: RigidTransform3, intrinsics: CameraIntrinsics, near: float):
-    """Pixel block (row slice, column slice) of each wall, or None where a wall cannot be hit.
+    """(wall index, row slice, column slice) of each wall whose image block is not empty, in wall order.
 
     The block bounds the pinhole projection of the wall quad, padded by
     BLOCK_Z_PAD in z and clipped at depth `near`, widened by
@@ -280,13 +280,11 @@ def _image_blocks(site: SiteModel, camera_pose: RigidTransform3, intrinsics: Cam
     v = intrinsics.fy * points[..., 1] / depth + intrinsics.cy
     w, h = intrinsics.width, intrinsics.height
     blocks = []
-    for k in range(len(site.walls)):
-        if not keep[k].any():
-            blocks.append(None)
-            continue
+    for k in np.flatnonzero(keep.any(axis=1)):
         c0, c1 = _pixel_span(u[k][keep[k]], w)
         r0, r1 = _pixel_span(v[k][keep[k]], h)
-        blocks.append((slice(r0, r1), slice(c0, c1)) if c0 < c1 and r0 < r1 else None)
+        if c0 < c1 and r0 < r1:
+            blocks.append((int(k), slice(r0, r1), slice(c0, c1)))
     return blocks
 
 
@@ -328,9 +326,8 @@ def render_thermal(
     wall = np.full((h, w), -1, dtype=np.intp)
     # intersect_rays accepts t > 1e-9, so no hit is nearer than this depth.
     near = BLOCK_NEAR_T * float(rays_cam[:, 2].min())
-    for k, block in enumerate(_image_blocks(site, camera_pose, intrinsics, near)):
-        if block is not None:
-            _hit_wall(site, k, origin, direction[(slice(None), *block)], dist[block], wall[block])
+    for k, rows, cols in _image_blocks(site, camera_pose, intrinsics, near):
+        _hit_wall(site, k, origin, direction[:, rows, cols], dist[rows, cols], wall[rows, cols])
     hit = np.isfinite(dist)
     temps = np.full((h, w), site.ambient_c)
     if np.any(hit):

@@ -360,29 +360,24 @@ def test_trajectory_spec_validation():
         TrajectorySpec(waypoints=((0.0, 0.0), (1.0, 0.0)), speed=0.0)
     with pytest.raises(ValueError):
         TrajectorySpec(waypoints=((0.0, 0.0),), imu_rate=5.0, scan_rate=10.0)
-
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
-        ({"speed": math.inf}, "speed"),
-        ({"speed": math.nan}, "speed"),
-        ({"turn_rate": math.inf}, "turn_rate"),
-        ({"turn_rate": math.nan}, "turn_rate"),
-        ({"scan_rate": math.nan}, "scan_rate"),
-        ({"imu_rate": math.nan}, "imu_rate"),
-        ({"imu_rate": math.inf}, "imu_rate"),
-        ({"thermal_rate": math.nan}, "thermal_rate"),
-        ({"hold_s": -1.0}, "hold_s"),
-        ({"hold_s": math.nan}, "hold_s"),
-        ({"hold_s": math.inf}, "hold_s"),
-        ({"waypoints": ((0.0, 0.0), (math.nan, 1.0))}, "waypoints"),
-        ({"waypoints": ((math.inf, 0.0),)}, "waypoints"),
-    ],
-)
-def test_trajectory_spec_rejects_non_finite_values(kwargs, name):
-    with pytest.raises(ValueError, match=name):
-        TrajectorySpec(**{"waypoints": ((0.0, 0.0), (1.0, 0.0)), **kwargs})
+    bad = [
+        ("speed", math.inf),
+        ("speed", math.nan),
+        ("turn_rate", math.inf),
+        ("turn_rate", math.nan),
+        ("scan_rate", math.nan),
+        ("imu_rate", math.inf),
+        ("imu_rate", math.nan),
+        ("thermal_rate", math.nan),
+        ("hold_s", -1.0),
+        ("hold_s", math.nan),
+        ("hold_s", math.inf),
+        ("waypoints", ((0.0, 0.0), (math.nan, 1.0))),
+        ("waypoints", ((math.inf, 0.0),)),
+    ]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            TrajectorySpec(**{"waypoints": ((0.0, 0.0), (1.0, 0.0)), name: value})
 
 
 def test_timeline_moves_at_constant_speed():
