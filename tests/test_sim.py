@@ -291,7 +291,8 @@ def test_render_thermal_blocks_match_all_rays_on_random_poses(site):
         ambient += int(np.any(temps == site.ambient_c))
     assert ambient > 0  # some views see past the walls' top or bottom edge
     # Within 1 cm of a wall: facing it, along it and away from it; then
-    # into corners, and from above and below the wall tops.
+    # into corners, from a camera just above the wall tops and from one
+    # near the floor.
     width, depth = hi - lo
     special = [
         (lo[0] + 0.5 * width, lo[1] + 0.01, 0.6, -0.5 * math.pi),
