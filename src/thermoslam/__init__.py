@@ -13,12 +13,13 @@ from .core import (
     PlanarPose,
     RigidTransform3,
     Scan2D,
-    Vec3,
+    SessionDataset,
     compose,
     inverse,
     planar_to_rigid3,
     rotation_about_z,
     rotation_aligning,
+    trajectory_ate,
     wrap_angle,
 )
 from .scan_frontend import (
@@ -62,7 +63,6 @@ from .monitor import (
 )
 from .sim import (
     NoiseSpec,
-    SessionDataset,
     SimulationError,
     SiteModel,
     TrajectorySpec,
@@ -70,7 +70,6 @@ from .sim import (
     linear_field,
     rectangle_site,
     simulate_session,
-    trajectory_ate,
     two_room_site,
     uniform_field,
 )

@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import ImuSeries, PlanarPose, RigidTransform3, Scan2D, Timestamp
-from ..sim import SessionDataset
+from ..core import ImuSeries, PlanarPose, RigidTransform3, Scan2D, SessionDataset, Timestamp
 from ..thermal_map import Calibration, CameraIntrinsics, ThermalFrame, ThermalPointCloud, decode_celsius
 
 SCANS_FILE = "scans.csv"
@@ -498,7 +497,7 @@ def load_session(session_dir: Path) -> SessionDataset:
     ground_truth = None
     if (session_dir / GROUND_TRUTH_FILE).exists():
         ground_truth = read_trajectory_csv(session_dir / GROUND_TRUTH_FILE)
-    return SessionDataset(scans, imu, frames, calib, ground_truth, site=None)
+    return SessionDataset(scans, imu, frames, calib, ground_truth)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import PlanarPose, RigidTransform3, Timestamp, compose, inverse, planar_to_rigid3, wrap_angle
+from ..core import (
+    PlanarPose,
+    RigidTransform3,
+    SessionDataset,
+    Timestamp,
+    compose,
+    inverse,
+    planar_to_rigid3,
+    trajectory_ate,
+    wrap_angle,
+)
 from ..pose_graph import GraphEdge, PoseGraph, detect_loop_closures, optimize
 from ..scan_frontend import (
     DegenerateScanError,
@@ -22,7 +32,6 @@ from ..scan_frontend import (
     gravity_project,
     match_scans,
 )
-from ..sim import SessionDataset, trajectory_ate
 from ..thermal_map import ThermalFrame, ThermalPointCloud, VoxelSums, accumulate_map, extrude_walls, project_to_thermal
 
 
@@ -238,6 +247,6 @@ def run_mapping(dataset: SessionDataset) -> MappingResult:
         "map_points": len(cloud),
         "temperature_set_points": int(np.count_nonzero(np.isfinite(cloud.temperatures))),
     }
-    if dataset.ground_truth:
+    if dataset.ground_truth is not None:
         diagnostics["ate_m"] = trajectory_ate(trajectory, dataset.ground_truth)
     return MappingResult(cloud=cloud, trajectory=trajectory, diagnostics=diagnostics)

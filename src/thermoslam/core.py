@@ -1,4 +1,4 @@
-"""Shared geometry and robust-loss primitives.
+"""Shared geometry, robust-loss primitives, the in-memory session and its trajectory error.
 
 Conventions used throughout the package: frames are right-handed with z up,
 gravity points along -z when the platform is level, angles are radians
@@ -9,9 +9,14 @@ meters and temperatures degrees Celsius.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # thermal_map imports core
+    from .thermal_map import Calibration, ThermalFrame
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,30 +40,6 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
     a = np.asarray(angles, dtype=float)
     inside = (a > -math.pi) & (a <= math.pi)
     return np.where(inside, a, math.pi - np.remainder(math.pi - a, TWO_PI))
-
-
-@dataclass(frozen=True)
-class Vec3:
-    """A finite 3D vector."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("Vec3 components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "Vec3":
-        a = np.asarray(arr, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
 @dataclass(frozen=True)
@@ -121,6 +102,27 @@ def fit_rigid_2d(moving_xy: np.ndarray, reference_xy: np.ndarray) -> tuple[float
     return theta, ref_mean - rot @ mov_mean
 
 
+def trajectory_ate(
+    estimated: Sequence[tuple[Timestamp, PlanarPose]],
+    reference: Sequence[tuple[Timestamp, PlanarPose]],
+) -> float:
+    """RMS positional error over shared stamps, after a rigid 2D fit of estimated onto reference.
+
+    NaN when the two share fewer than 3 stamps: the fit has 3 degrees of
+    freedom, so fewer pairs would always score (near) zero.
+    """
+    ref_map = {int(s): p for s, p in reference}
+    pairs = [(p, ref_map[int(s)]) for s, p in estimated if int(s) in ref_map]
+    if len(pairs) < 3:
+        return math.nan
+    est = np.array([[p.x, p.y] for p, _ in pairs])
+    ref = np.array([[q.x, q.y] for _, q in pairs])
+    theta, t = fit_rigid_2d(est, ref)
+    c, s = math.cos(theta), math.sin(theta)
+    est = est @ np.array([[c, -s], [s, c]]).T + t
+    return float(np.sqrt(np.mean(np.sum((est - ref) ** 2, axis=1))))
+
+
 def rotation_about_z(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -174,12 +176,6 @@ class RigidTransform3:
     def inverse(self) -> "RigidTransform3":
         rt = self.rotation.T
         return RigidTransform3(rt, -(rt @ self.translation))
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
 
 def planar_to_rigid3(pose: PlanarPose, z: float = 0.0) -> RigidTransform3:
@@ -276,6 +272,17 @@ class ImuSeries:
         return self.stamps.size
 
 
+@dataclass(eq=False)
+class SessionDataset:
+    """One capture session in memory; cli_io owns the on-disk layout."""
+
+    scans: list[Scan2D]
+    imu: ImuSeries
+    frames: list[ThermalFrame]
+    calib: Calibration
+    ground_truth: list[tuple[Timestamp, PlanarPose]] | None = None
+
+
 @dataclass(frozen=True)
 class HuberLoss:
     """Huber robust loss with threshold delta.
@@ -288,14 +295,6 @@ class HuberLoss:
     def __post_init__(self) -> None:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("Huber delta must be positive and finite")
-
-    def evaluate(self, residual: float) -> tuple[float, float]:
-        """Return (loss value, derivative d rho / d residual)."""
-        r = float(residual)
-        a = abs(r)
-        if a <= self.delta:
-            return 0.5 * r * r, r
-        return self.delta * (a - 0.5 * self.delta), math.copysign(self.delta, r)
 
     def values(self, norms: np.ndarray) -> np.ndarray:
         """Vectorized loss for an array of non-negative residual norms."""

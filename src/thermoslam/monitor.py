@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import RigidTransform3, Vec3, fit_rigid_2d, rotation_about_z, wrap_angle
+from .core import RigidTransform3, fit_rigid_2d, rotation_about_z, wrap_angle
 from . import thermal_map
 from .thermal_map import ThermalPointCloud
 
@@ -68,7 +68,7 @@ class DeltaReport:
 class MaturityRecord:
     """Nurse-Saul maturity state of one or many monitoring positions.
 
-    position is carried as given: one Vec3, or an (N, 3) array of them.
+    position is carried as given: one (3,) point, or an (N, 3) array of them.
     sample_count, last_time_h, last_temperature and maturity hold one
     entry per position; they take the shape of the samples folded in by
     accumulate_maturity, and before the first fold they are the scalars
@@ -78,7 +78,7 @@ class MaturityRecord:
     ValueError.
     """
 
-    position: Vec3 | np.ndarray
+    position: np.ndarray
     datum_temperature: float = -10.0
     sample_count: np.ndarray | int = 0
     last_time_h: np.ndarray | float = math.nan

@@ -312,11 +312,6 @@ def _paired_cost(association: tuple) -> float:
     return float(MATCH_LOSS.values(np.abs(line_res[line])).sum() / moved.shape[0])
 
 
-def matching_cost(reference: ProjectedScan, moving: ProjectedScan, pose: PlanarPose) -> float:
-    """Normalized robust matching cost of a pose (diagnostic)."""
-    return associate(reference, moving, np.array([pose.x, pose.y, pose.theta]))[0]
-
-
 def match_scans(
     reference: ProjectedScan,
     moving: ProjectedScan,

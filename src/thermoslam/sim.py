@@ -33,12 +33,12 @@ from .core import (
     PlanarPose,
     RigidTransform3,
     Scan2D,
+    SessionDataset,
     Timestamp,
-    fit_rigid_2d,
     rotation_about_z,
     wrap_angle,
 )
-from .thermal_map import Calibration, CameraIntrinsics, ThermalFrame, ThermalImage
+from .thermal_map import Calibration, CameraIntrinsics, ThermalImage
 
 GRAVITY = 9.80665
 
@@ -585,18 +585,6 @@ def default_camera_extrinsic() -> RigidTransform3:
     return RigidTransform3(rot, rot @ np.array([0.0, 0.0, -0.15]))
 
 
-@dataclass(eq=False)
-class SessionDataset:
-    """In-memory capture session; cli_io owns the on-disk layout."""
-
-    scans: list[Scan2D]
-    imu: ImuSeries
-    frames: list[ThermalFrame]
-    calib: Calibration
-    ground_truth: list[tuple[Timestamp, PlanarPose]] | None = None
-    site: SiteModel | None = None
-
-
 def _tilt_series(n: int, sigma: float, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Stationary Ornstein-Uhlenbeck roll/pitch series of correlation time TILT_TAU, shape (n, 2)."""
     out = np.zeros((n, 2))
@@ -708,25 +696,4 @@ def simulate_session(
         world_to_camera = calib.camera_extrinsic.compose(pose3.inverse())
         frames.append(render_thermal(site, world_to_camera, INTRINSICS, noise=noise, rng=thermal_rng, stamp=stamp))
 
-    return SessionDataset(scans, ImuSeries(imu_stamps, accel), frames, calib, ground_truth, site)
-
-
-# ---------------------------------------------------------------------------
-# Ground-truth evaluation helpers.
-
-
-def trajectory_ate(
-    estimated: Sequence[tuple[Timestamp, PlanarPose]],
-    reference: Sequence[tuple[Timestamp, PlanarPose]],
-) -> float:
-    """RMS positional error over shared stamps, after a rigid 2D fit of estimated onto reference."""
-    ref_map = {int(s): p for s, p in reference}
-    pairs = [(p, ref_map[int(s)]) for s, p in estimated if int(s) in ref_map]
-    if not pairs:
-        raise ValueError("trajectories share no timestamps")
-    est = np.array([[p.x, p.y] for p, _ in pairs])
-    ref = np.array([[q.x, q.y] for _, q in pairs])
-    theta, t = fit_rigid_2d(est, ref)
-    c, s = math.cos(theta), math.sin(theta)
-    est = est @ np.array([[c, -s], [s, c]]).T + t
-    return float(np.sqrt(np.mean(np.sum((est - ref) ** 2, axis=1))))
+    return SessionDataset(scans, ImuSeries(imu_stamps, accel), frames, calib, ground_truth)

@@ -33,7 +33,6 @@ from thermoslam import (
     SiteModel,
     ThermalPointCloud,
     TrajectorySpec,
-    Vec3,
     WallSegment,
     accumulate_maturity,
     compose,
@@ -440,7 +439,7 @@ def test_criterion_08_maturity_arithmetic():
     # Nurse-Saul bookkeeping: a constant 20 degC held for 10 h over a
     # -10 degC datum is exactly 300 degC-hours, and splitting any sample
     # series in two never changes the total.
-    base = MaturityRecord(position=Vec3(0.0, 0.0, 0.0), datum_temperature=-10.0)
+    base = MaturityRecord(position=np.zeros(3), datum_temperature=-10.0)
     record = accumulate_maturity(base, (0.0, 20.0))
     record = accumulate_maturity(record, (10.0, 20.0))
     assert record.maturity == 300.0

@@ -438,6 +438,22 @@ def test_cli_map_rejects_a_frame_of_another_size_before_mapping(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change", ["shifted", "one_row", "no_rows"])
+def test_cli_map_scores_too_few_shared_ground_truth_stamps_as_nan(tmp_path, capsys, change):
+    # Ground truth may hold any increasing stamps. Sharing fewer than 3 with
+    # the trajectory leaves the rigid fit of the ATE undetermined.
+    dataset = _small_dataset()
+    truth = dataset.ground_truth
+    rows = {"shifted": [(s + 1, p) for s, p in truth], "one_row": truth[:1], "no_rows": []}
+    dataset.ground_truth = rows[change]
+    session = tmp_path / "session"
+    save_session(dataset, session)
+    out = tmp_path / "out"
+    assert main(["map", "--session", str(session), "--out", str(out)]) == 0
+    assert "mapped" in capsys.readouterr().out
+    assert read_report(out / "diagnostics.txt")["ate_m"] == "nan"
+
+
 def test_write_thermal_frames_checks_every_frame_before_writing(tmp_path):
     calib = dataclasses.replace(_small_calib(), thermal_scale=0.001, thermal_offset=-10.0)
     # 80 degC needs raw 90000 at this encoding, past 65535.
@@ -592,7 +608,6 @@ def test_save_load_session_roundtrip(tmp_path):
     for orig, back in zip(dataset.frames, loaded.frames):
         assert back.stamp == orig.stamp
         assert np.max(np.abs(back.temperatures - orig.temperatures)) <= 0.005 + 1e-12
-    assert loaded.site is None
 
     with pytest.raises(DatasetFormatError, match="not a directory"):
         load_session(tmp_path / "nope")

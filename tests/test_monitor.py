@@ -11,7 +11,6 @@ from thermoslam import (
     PlanarPose,
     RigidTransform3,
     ThermalPointCloud,
-    Vec3,
     accumulate_maturity,
     icp_align,
     planar_to_rigid3,
@@ -181,7 +180,7 @@ def _fold(record: MaturityRecord, samples, max_rate: float = 10.0) -> tuple[Matu
 
 
 def test_accumulate_maturity_first_sample_only_initializes():
-    base = MaturityRecord(position=Vec3(0.0, 0.0, 1.0))
+    base = MaturityRecord(position=np.array([0.0, 0.0, 1.0]))
     record = accumulate_maturity(base, (0.0, 18.0))
     assert (record.sample_count, record.last_time_h, record.last_temperature) == (1, 0.0, 18.0)
     assert record.maturity == 0.0
@@ -190,18 +189,18 @@ def test_accumulate_maturity_first_sample_only_initializes():
 
 
 def test_accumulate_maturity_trapezoid_value():
-    record, _ = _fold(MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=5.0), [(0.0, 15.0), (2.0, 25.0)])
+    record, _ = _fold(MaturityRecord(position=np.zeros(3), datum_temperature=5.0), [(0.0, 15.0), (2.0, 25.0)])
     # Average temperature 20 degC over 2 h, 15 degC above datum.
     assert record.maturity == pytest.approx(30.0)
 
 
 def test_accumulate_maturity_clamps_below_datum():
-    record, _ = _fold(MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=-10.0), [(0.0, -20.0), (1.0, -20.0)])
+    record, _ = _fold(MaturityRecord(position=np.zeros(3), datum_temperature=-10.0), [(0.0, -20.0), (1.0, -20.0)])
     assert record.maturity == 0.0
 
 
 def test_accumulate_maturity_requires_advancing_finite_samples():
-    record = accumulate_maturity(MaturityRecord(position=Vec3(0, 0, 0)), (1.0, 20.0))
+    record = accumulate_maturity(MaturityRecord(position=np.zeros(3)), (1.0, 20.0))
     with pytest.raises(ValueError, match="does not advance"):
         accumulate_maturity(record, (1.0, 21.0))
     with pytest.raises(ValueError, match="finite"):
@@ -216,7 +215,7 @@ def test_accumulate_maturity_requires_advancing_finite_samples():
 def test_maturity_record_rejects_non_finite_datum(datum):
     # Each would turn every gain max(0.0, T_avg - datum) into 0.0 or inf.
     with pytest.raises(ValueError, match="datum"):
-        MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=datum)
+        MaturityRecord(position=np.zeros(3), datum_temperature=datum)
 
 
 def test_fold_over_positions_equals_one_fold_per_position():
@@ -230,7 +229,7 @@ def test_fold_over_positions_equals_one_fold_per_position():
     )
     for k in range(3):
         one, one_alerts = _fold(
-            MaturityRecord(position=Vec3(0, 0, 0), datum_temperature=-5.0),
+            MaturityRecord(position=np.zeros(3), datum_temperature=-5.0),
             [(t, row[k]) for t, row, mask in zip(times, temps, seen) if mask[k]],
         )
         assert many.sample_count[k] == one.sample_count == int(seen[:, k].sum())
@@ -250,18 +249,18 @@ def test_fold_over_positions_equals_one_fold_per_position():
 
 
 def test_rate_alert_flags_steep_intervals_only():
-    _, alerts = _fold(MaturityRecord(position=Vec3(0, 0, 0)), [(0.0, 20.0), (1.0, 25.0), (2.0, 45.0), (3.0, 30.0)])
+    _, alerts = _fold(MaturityRecord(position=np.zeros(3)), [(0.0, 20.0), (1.0, 25.0), (2.0, 45.0), (3.0, 30.0)])
     # Warming at 20 C/h alerts, and so does cooling at -15 C/h.
     assert [bool(a) for a in alerts] == [False, False, True, True]
 
 
 def test_rate_alert_exact_limit_does_not_alert():
-    _, alerts = _fold(MaturityRecord(position=Vec3(0, 0, 0)), [(0.0, 20.0), (1.0, 30.0)])
+    _, alerts = _fold(MaturityRecord(position=np.zeros(3)), [(0.0, 20.0), (1.0, 30.0)])
     assert not np.any(alerts)
 
 
 def test_rate_alert_validation():
-    base = MaturityRecord(position=Vec3(0, 0, 0))
+    base = MaturityRecord(position=np.zeros(3))
     first = accumulate_maturity(base, (0.0, 20.0))
     # No interval yet, so no alert however fast the limit.
     assert not rate_alert(base, first, max_rate=0.0)

@@ -35,7 +35,6 @@ from thermoslam.scan_frontend import (
     estimate_normals,
     filter_gravity,
     gravity_project,
-    matching_cost,
     normal_equations,
     project_points_to_plane,
     scan_to_points,
@@ -406,7 +405,7 @@ def test_match_scans_never_worsens_initial_cost():
             truth.theta + rng.uniform(-0.03, 0.03),
         )
         result = match_scans(ref, mov, initial_guess=guess)
-        assert result.final_cost <= matching_cost(ref, mov, guess) + 1e-15
+        assert result.final_cost <= associate(ref, mov, np.array([guess.x, guess.y, guess.theta]))[0] + 1e-15
 
 
 def test_match_scans_reports_failure_without_overlap():
@@ -429,14 +428,14 @@ def test_match_scans_returns_guess_when_too_few_inliers():
     result = match_scans(ref, mov)
     assert not result.converged
     assert result.relative_pose == PlanarPose()
-    assert result.final_cost == matching_cost(ref, mov, PlanarPose()) > 0.0
+    assert result.final_cost == associate(ref, mov, np.zeros(3))[0] > 0.0
     assert result.inlier_count == 20
 
 
 def test_matching_cost_saturates_at_distance_gate():
     ref = ProjectedScan(0, _square_points(120))
     mov = ProjectedScan(1, _square_points(120) + 100.0)
-    cost = matching_cost(ref, mov, PlanarPose())
+    cost = associate(ref, mov, np.zeros(3))[0]
     gate = MATCH_LOSS.values(np.array([DISTANCE_GATE]))[0]
     assert cost == pytest.approx(gate)
 
@@ -453,7 +452,7 @@ def test_match_scans_keeps_guess_when_reference_has_no_line_points():
     assert result.inlier_count == 0
     assert result.relative_pose == guess
     saturated = MATCH_LOSS.values(np.array([DISTANCE_GATE]))[0]
-    assert result.final_cost == matching_cost(ref, mov, guess) == saturated
+    assert result.final_cost == associate(ref, mov, np.array([guess.x, guess.y, guess.theta]))[0] == saturated
 
 
 def test_each_scan_estimates_normals_once(monkeypatch):
@@ -469,7 +468,7 @@ def test_each_scan_estimates_normals_once(monkeypatch):
     mov = ProjectedScan(1, _displaced_copy(_square_points(240, phase=0.001), truth))
     first = match_scans(ref, mov)
     second = match_scans(ref, mov, initial_guess=truth)
-    matching_cost(ref, mov, truth)
+    associate(ref, mov, np.array([truth.x, truth.y, truth.theta]))
     assert first.converged and second.converged
     assert calls == [240, 240]
 

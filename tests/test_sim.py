@@ -446,7 +446,6 @@ def test_simulate_session_stream_sizes_and_stamps():
     assert stamps[1] - stamps[0] == 100_000_000
     assert dataset.ground_truth is not None
     assert [s for s, _ in dataset.ground_truth] == stamps
-    assert dataset.site is site
 
 
 def test_simulate_session_rejects_path_through_wall():
@@ -554,5 +553,7 @@ def test_trajectory_ate_alignment_and_errors():
     truth = [(k, PlanarPose(0.1 * k, 0.0, 0.0)) for k in range(20)]
     shifted = [(k, PlanarPose(0.1 * k + 1.0, 0.5, 0.0)) for k in range(20)]
     assert trajectory_ate(shifted, truth) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        trajectory_ate([(100, PlanarPose())], truth)
+    # Fewer than 3 shared stamps leave the rigid fit undetermined.
+    assert math.isnan(trajectory_ate([(100, PlanarPose())], truth))
+    assert math.isnan(trajectory_ate(shifted[:2], truth))
+    assert trajectory_ate(shifted[:3], truth) == pytest.approx(0.0, abs=1e-12)
