@@ -29,6 +29,11 @@ from .scan_frontend import ProjectedScan
 CELL_SPREAD_FLOOR = 0.5
 CELL_SPREAD_NOISE_FACTOR = 6.0
 
+# Slack (px) of the painter's column cull: a column is skipped only when
+# both its ends lie more than this far past the same image border (or behind
+# the camera), so rounding cannot drop a point the frame sees.
+PAINT_MARGIN_PX = 1.0
+
 # Edge length (m) of the voxels the fused map is thinned to.
 MAP_VOXEL_SIZE = 0.05
 
@@ -247,16 +252,25 @@ def estimate_image_noise(celsius: np.ndarray) -> float:
     """Robust per-pixel noise level of a decoded frame, from horizontal first differences.
 
     The median absolute difference ignores the few pixels that straddle
-    scene edges, so smooth-but-warm scenes do not read as noisy.
+    scene edges, so smooth-but-warm scenes do not read as noisy. The median
+    comes from one partition at the middle: for an even count it is the
+    mean of the largest value below the middle and the middle value, which
+    for finite input is np.median's value, bit for bit.
     """
-    d = np.diff(celsius, axis=1)
-    return 1.4826 * float(np.median(np.abs(d))) / math.sqrt(2.0)
+    d = np.abs(np.diff(celsius, axis=1)).reshape(-1)
+    m = d.size // 2
+    d.partition(m)
+    middle = d[m] if d.size % 2 else (d[:m].max() + d[m]) / 2.0
+    return 1.4826 * float(middle) / math.sqrt(2.0)
 
 
-def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = image.shape
-    x0 = np.clip(np.floor(u).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(v).astype(int), 0, h - 2)
+def _cell_corner(shape: tuple[int, int], u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top-left pixel (x0, y0) of each sample's 2x2 interpolation cell."""
+    h, w = shape
+    return np.clip(np.floor(u).astype(int), 0, w - 2), np.clip(np.floor(v).astype(int), 0, h - 2)
+
+
+def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
     wx = np.clip(u - x0, 0.0, 1.0)
     wy = np.clip(v - y0, 0.0, 1.0)
     top = image[y0, x0] * (1.0 - wx) + image[y0, x0 + 1] * wx
@@ -264,13 +278,34 @@ def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return top * (1.0 - wy) + bot * wy
 
 
-def _cell_spread(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _cell_spread(image: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Max minus min over each sample's 2x2 interpolation cell."""
-    h, w = image.shape
-    x0 = np.clip(np.floor(u).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(v).astype(int), 0, h - 2)
     cell = np.stack([image[y0, x0], image[y0, x0 + 1], image[y0 + 1, x0], image[y0 + 1, x0 + 1]])
     return cell.max(axis=0) - cell.min(axis=0)
+
+
+def _seen_columns(cloud: WallCloud, camera_pose: RigidTransform3, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Indices of the columns that may hold a point inside the frame.
+
+    Each of the five tests (depth <= 0, and a pixel more than
+    PAINT_MARGIN_PX past the left, right, top or bottom border) is linear in
+    camera coordinates, so it holds along a whole column when it holds at
+    both ends, the lowest and the highest level. A column goes only when
+    one test holds at both ends.
+    """
+    ends = np.array([cloud.heights.min(), cloud.heights.max()])
+    x, y, z = camera_pose.apply(_column_rows(cloud.points, ends)).T
+    k, m = intrinsics, PAINT_MARGIN_PX
+    outside = np.stack(
+        [
+            z <= 0.0,
+            k.fx * x + (k.cx + m) * z < 0.0,
+            (k.width - 1.0 + m - k.cx) * z - k.fx * x < 0.0,
+            k.fy * y + (k.cy + m) * z < 0.0,
+            (k.height - 1.0 + m - k.cy) * z - k.fy * y < 0.0,
+        ]
+    ).reshape(5, -1, 2)
+    return np.flatnonzero(~outside.all(axis=2).any(axis=0))
 
 
 def project_to_thermal(
@@ -296,27 +331,38 @@ def project_to_thermal(
     straddle a depth edge, where interpolation would blend temperatures of
     unrelated surfaces. Skipped points keep whatever an earlier frame
     assigned.
+
+    Only the columns whose ends pass _seen_columns' cull are transformed
+    and tested point by point, with the same expressions, so the result is
+    the one of testing every point. Every frame's temperatures are read,
+    and so checked, even when no column survives the cull; the noise level
+    is estimated only when some point is eligible.
     """
     if image.width != intrinsics.width or image.height != intrinsics.height:
         raise ValueError("image size does not match intrinsics")
     if distance.shape != cloud.temperatures.shape:
         raise ValueError("distance grid does not match the cloud")
-    cam = camera_pose.apply(cloud.positions())
+    celsius = image.temperatures
+    columns = _seen_columns(cloud, camera_pose, intrinsics)
+    cam = camera_pose.apply(_column_rows(cloud.points[columns], cloud.heights))
     z = cam[:, 2]
     front = z > 1e-12
-    u = np.full(len(cloud), -1.0)
-    v = np.full(len(cloud), -1.0)
+    u = np.full(len(cam), -1.0)
+    v = np.full(len(cam), -1.0)
     u[front] = intrinsics.fx * cam[front, 0] / z[front] + intrinsics.cx
     v[front] = intrinsics.fy * cam[front, 1] / z[front] + intrinsics.cy
     visible = front & (u >= 0.0) & (u <= intrinsics.width - 1.0) & (v >= 0.0) & (v <= intrinsics.height - 1.0)
     to_camera = np.linalg.norm(cam, axis=1)
-    take = np.flatnonzero(visible & (to_camera < distance.reshape(-1)))
-    celsius = image.temperatures
+    take = np.flatnonzero(visible & (to_camera < distance[columns].reshape(-1)))
+    if take.size == 0:
+        return
     gate = max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(celsius))
-    take = take[_cell_spread(celsius, u[take], v[take]) <= gate]
-    # Row k * L + l of cloud.positions() is entry [k, l] of both grids.
-    entries = np.unravel_index(take, distance.shape)
-    cloud.temperatures[entries] = _bilinear(celsius, u[take], v[take])
+    x0, y0 = _cell_corner(celsius.shape, u[take], v[take])
+    clean = _cell_spread(celsius, x0, y0) <= gate
+    take, x0, y0 = take[clean], x0[clean], y0[clean]
+    # Row j * L + l of the surviving rows is entry [columns[j], l] of both grids.
+    entries = (columns[take // cloud.heights.size], take % cloud.heights.size)
+    cloud.temperatures[entries] = _bilinear(celsius, u[take], v[take], x0, y0)
     distance[entries] = to_camera[take]
 
 

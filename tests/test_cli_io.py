@@ -28,6 +28,8 @@ from thermoslam import (
     ThermalImage,
     ThermalPointCloud,
     TrajectorySpec,
+    WallCloud,
+    project_to_thermal,
     rectangle_site,
     simulate_session,
 )
@@ -57,6 +59,7 @@ from thermoslam.cli_io import formats
 from thermoslam.cli_io.cli import main
 from thermoslam.cli_io.formats import (
     TRAJECTORY_HEADER,
+    PgmFrame,
     atomic_write_bytes,
     read_pgm16,
     read_report,
@@ -502,6 +505,24 @@ def test_loaded_frames_are_read_again_when_they_paint(tmp_path, monkeypatch, cha
     with pytest.raises(DatasetFormatError) as exc:
         run_mapping(dataset)
     assert str(exc.value).startswith(f"{victim}: ")
+
+
+def test_a_frame_that_sees_no_column_is_still_read(tmp_path):
+    # Every column stands behind the camera, so the painter culls them all;
+    # it still reads the frame's file, and a truncated file fails by name.
+    calib = _small_calib()
+    path = tmp_path / "frame_000000.pgm"
+    write_pgm16(path, np.full((6, 8), 12000, dtype=np.uint16))
+    frame = PgmFrame(0, path, 8, 6, calib.thermal_scale, calib.thermal_offset)
+    facing = RigidTransform3(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]))
+    cloud = WallCloud([[-2.0, -0.5], [-2.0, 0.0], [-2.0, 0.5]], calib.heights(), np.full((3, 31), np.nan))
+    distance = np.full(cloud.temperatures.shape, np.inf)
+    project_to_thermal(cloud, distance, facing, calib.intrinsics, frame)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DatasetFormatError) as exc:
+        project_to_thermal(cloud, distance, facing, calib.intrinsics, frame)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert np.isnan(cloud.temperatures).all() and np.isposinf(distance).all()
 
 
 def test_thermal_index_rejects_path_escape(tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import thermoslam.sim as sim
 import thermoslam.thermal_map as thermal_map
 from thermoslam import (
     Calibration,
@@ -199,6 +200,22 @@ def test_project_to_thermal_gate_comes_from_the_frame():
         cloud = WallCloud(pt, [2.0], [[np.nan]])
         _paint(cloud, RigidTransform3.identity(), ThermalImage(0, pixels))
         assert np.array_equal(cloud.temperatures, [[expected]], equal_nan=True)
+
+
+# Shapes (rows, columns) give 2, 3, 4, 9, 25 and 19,080 differences: odd and
+# even counts, down to a 2x2 frame, up to a frame of the simulator's size.
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (3, 4), (5, 6), (120, 160)])
+@pytest.mark.parametrize("values", ["quantized", "continuous"])
+def test_estimate_image_noise_equals_the_full_median(shape, values):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for _ in range(200 if shape[0] < 100 else 20):
+        if values == "quantized":
+            # Raw counts near 20 degC at the session encoding: many ties.
+            celsius = rng.integers(11_990, 12_010, shape) * 0.01 - 100.0
+        else:
+            celsius = rng.normal(25.0, rng.uniform(0.01, 5.0), shape)
+        full = 1.4826 * np.median(np.abs(np.diff(celsius, axis=1))) / math.sqrt(2.0)
+        assert estimate_image_noise(celsius) == full
 
 
 def test_project_to_thermal_rejects_size_mismatch():
@@ -414,26 +431,37 @@ def _accumulate_rows(rows, temperatures, poses, calib, voxel_size):
     return voxel_thin(np.vstack(lifted), np.concatenate(temperatures), voxel_size)
 
 
-def _project_rows(positions, temperatures, source_distance, camera_pose, image):
-    """Reference: project_to_thermal on (x, y, z) rows, in place."""
+def _project_rows(positions, temperatures, source_distance, camera_pose, image, intrinsics=INTRINSICS):
+    """Reference: project_to_thermal on (x, y, z) rows, in place, every row tested.
+
+    The noise median, the 2x2 cell and its interpolation are written out
+    here as the painter first computed them.
+    """
     cam = camera_pose.apply(positions)
     z = cam[:, 2]
     front = z > 1e-12
     u = np.full(len(positions), -1.0)
     v = np.full(len(positions), -1.0)
-    u[front] = INTRINSICS.fx * cam[front, 0] / z[front] + INTRINSICS.cx
-    v[front] = INTRINSICS.fy * cam[front, 1] / z[front] + INTRINSICS.cy
-    visible = front & (u >= 0.0) & (u <= INTRINSICS.width - 1.0) & (v >= 0.0) & (v <= INTRINSICS.height - 1.0)
+    u[front] = intrinsics.fx * cam[front, 0] / z[front] + intrinsics.cx
+    v[front] = intrinsics.fy * cam[front, 1] / z[front] + intrinsics.cy
+    visible = front & (u >= 0.0) & (u <= intrinsics.width - 1.0) & (v >= 0.0) & (v <= intrinsics.height - 1.0)
     distance = np.linalg.norm(cam, axis=1)
     take = visible & (distance < source_distance)
-    gate = max(
-        thermal_map.CELL_SPREAD_FLOOR, thermal_map.CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(image.temperatures)
-    )
-    if np.any(take):
-        clean = thermal_map._cell_spread(image.temperatures, u[take], v[take]) <= gate
-        take[np.flatnonzero(take)[~clean]] = False
-    temperatures[take] = thermal_map._bilinear(image.temperatures, u[take], v[take])
-    source_distance[take] = distance[take]
+    celsius = image.temperatures
+    noise = 1.4826 * float(np.median(np.abs(np.diff(celsius, axis=1)))) / math.sqrt(2.0)
+    gate = max(thermal_map.CELL_SPREAD_FLOOR, thermal_map.CELL_SPREAD_NOISE_FACTOR * noise)
+    h, w = celsius.shape
+    x0 = np.clip(np.floor(u[take]).astype(int), 0, w - 2)
+    y0 = np.clip(np.floor(v[take]).astype(int), 0, h - 2)
+    cell = np.stack([celsius[y0, x0], celsius[y0, x0 + 1], celsius[y0 + 1, x0], celsius[y0 + 1, x0 + 1]])
+    clean = cell.max(axis=0) - cell.min(axis=0) <= gate
+    wx = np.clip(u[take] - x0, 0.0, 1.0)
+    wy = np.clip(v[take] - y0, 0.0, 1.0)
+    top = celsius[y0, x0] * (1.0 - wx) + celsius[y0, x0 + 1] * wx
+    bot = celsius[y0 + 1, x0] * (1.0 - wx) + celsius[y0 + 1, x0 + 1] * wx
+    rows = np.flatnonzero(take)[clean]
+    temperatures[rows] = (top * (1.0 - wy) + bot * wy)[clean]
+    source_distance[rows] = distance[rows]
 
 
 def _random_pose(rng) -> PlanarPose:
@@ -556,6 +584,84 @@ def test_column_projection_matches_rows_bit_for_bit(noise, seed):
     assert np.isfinite(temps).any() and np.isnan(temps).any()
     assert np.array_equal(cloud.temperatures.reshape(-1), temps, equal_nan=True)
     assert np.array_equal(distance.reshape(-1), dists)
+
+
+def _tilted_camera(position: np.ndarray, yaw: float, roll: float, pitch: float) -> RigidTransform3:
+    """Cloud-to-camera transform of a camera at position, looking along yaw, rolled and pitched."""
+    cr, sr, cp, sp = math.cos(roll), math.sin(roll), math.cos(pitch), math.sin(pitch)
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    about_y = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    rotation = FACING @ (planar_to_rigid3(PlanarPose(theta=yaw)).rotation @ about_y @ about_x).T
+    return RigidTransform3(rotation, -rotation @ position)
+
+
+def _column_crossings(cloud: WallCloud, camera_pose: RigidTransform3, intrinsics: CameraIntrinsics) -> dict:
+    """How many columns cross z = 0 and each image border between their lowest and highest level."""
+    ends = np.array([cloud.heights.min(), cloud.heights.max()])
+    cam = camera_pose.apply(thermal_map._column_rows(cloud.points, ends)).reshape(-1, 2, 3)
+    z = cam[:, :, 2]
+    ahead = (z > 0.0).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.fx * cam[:, :, 0] / z + intrinsics.cx
+        v = intrinsics.fy * cam[:, :, 1] / z + intrinsics.cy
+
+    def crosses(inside):
+        return int(np.sum(ahead & (inside[:, 0] != inside[:, 1])))
+
+    return {
+        "z = 0": int(np.sum((z[:, 0] > 0.0) != (z[:, 1] > 0.0))),
+        "left": crosses(u >= 0.0),
+        "right": crosses(u <= intrinsics.width - 1.0),
+        "top": crosses(v >= 0.0),
+        "bottom": crosses(v <= intrinsics.height - 1.0),
+    }
+
+
+# noise as in test_column_projection_matches_rows_bit_for_bit.
+@pytest.mark.parametrize("noise", [None, 4.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_culled_painter_matches_rows_at_every_yaw(noise, seed):
+    # Frames of the simulator's size, cameras inside a 4 x 4 m room at 24
+    # yaws round the circle, rolled and pitched up to 3 degrees; every other
+    # camera stands within 1 cm of a column. Each column reaches from the
+    # floor to the ceiling, so many cross the top or bottom border, and the
+    # tilt makes columns cross the side borders and, beside the camera, the
+    # z = 0 plane.
+    intrinsics = sim.INTRINSICS
+    rng = np.random.default_rng(seed)
+    calib = _calib(sensor_height=0.6, floor_height=3.0, vertical_step=0.1)
+    scan, _ = _room_scan(rng, 600)
+    cloud = extrude_walls(scan, calib)
+    distance = np.full(cloud.temperatures.shape, np.inf)
+    rows = _extrude_rows(scan.points_xy, calib)
+    temps = cloud.temperatures.reshape(-1).copy()
+    dists = distance.reshape(-1).copy()
+    crossings = dict.fromkeys(["z = 0", "left", "right", "top", "bottom"], 0)
+    culled = 0
+    for k, yaw in enumerate(np.linspace(-math.pi, math.pi, 24, endpoint=False) + rng.uniform(0.0, 0.26)):
+        if k % 2:
+            column = scan.points_xy[rng.integers(len(scan.points_xy))]
+            bearing = rng.uniform(-math.pi, math.pi)
+            xy = column + rng.uniform(0.002, 0.01) * np.array([math.cos(bearing), math.sin(bearing)])
+        else:
+            xy = rng.uniform(-1.5, 1.5, 2)
+        tilt = np.radians(rng.uniform(-3.0, 3.0, 2))
+        camera = _tilted_camera(np.array([*xy, rng.uniform(-0.3, 0.3)]), yaw, *tilt)
+        pixels = np.tile(20.0 + 0.05 * np.arange(160.0), (120, 1))
+        pixels[:, rng.integers(10, 150) :] += 30.0
+        if noise is not None:
+            pixels += rng.normal(0.0, noise, pixels.shape)
+        image = ThermalImage(0, pixels)
+        for name, count in _column_crossings(cloud, camera, intrinsics).items():
+            crossings[name] += count
+        culled += len(scan.points_xy) - thermal_map._seen_columns(cloud, camera, intrinsics).size
+        project_to_thermal(cloud, distance, camera, intrinsics, image)
+        _project_rows(rows, temps, dists, camera, image, intrinsics)
+        assert np.array_equal(cloud.temperatures.reshape(-1), temps, equal_nan=True)
+        assert np.array_equal(distance.reshape(-1), dists)
+    assert all(count > 0 for count in crossings.values()), crossings
+    assert 0 < culled < 24 * len(scan.points_xy)
+    assert np.isfinite(temps).any() and np.isnan(temps).any()
 
 
 def test_accumulate_map_peak_memory_holds_one_keyframe():
