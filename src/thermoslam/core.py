@@ -106,17 +106,37 @@ def trajectory_ate(
     estimated: Sequence[tuple[Timestamp, PlanarPose]],
     reference: Sequence[tuple[Timestamp, PlanarPose]],
 ) -> float:
-    """RMS positional error over shared stamps, after a rigid 2D fit of estimated onto reference.
+    """RMS positional error at the estimated stamps, after a rigid 2D fit of estimated onto reference.
 
-    NaN when the two share fewer than 3 stamps: the fit has 3 degrees of
-    freedom, so fewer pairs would always score (near) zero.
+    An estimated stamp equal to a reference stamp is scored against that
+    reference pose (the last such row, if several share it); a stamp strictly
+    inside the reference's time span is scored against the reference x, y
+    interpolated linearly between the two rows around it. Stamps outside the
+    span are skipped. NaN when fewer than 3 stamps are scored: the fit has 3
+    degrees of freedom, so fewer pairs would always score (near) zero.
     """
-    ref_map = {int(s): p for s, p in reference}
-    pairs = [(p, ref_map[int(s)]) for s, p in estimated if int(s) in ref_map]
-    if len(pairs) < 3:
+    if not reference:
         return math.nan
-    est = np.array([[p.x, p.y] for p, _ in pairs])
-    ref = np.array([[q.x, q.y] for _, q in pairs])
+    order = np.argsort([int(s) for s, _ in reference], kind="stable")
+    ref_stamps = np.array([int(reference[k][0]) for k in order], dtype=np.int64)
+    ref_xy = np.array([[reference[k][1].x, reference[k][1].y] for k in order])
+    stamps = np.array([int(s) for s, _ in estimated], dtype=np.int64)
+    est = np.array([[p.x, p.y] for _, p in estimated]).reshape(-1, 2)
+    # after[i] is the first reference row past stamps[i]; the row before it
+    # is the last at or before stamps[i].
+    after = np.searchsorted(ref_stamps, stamps, side="right")
+    at = np.maximum(after - 1, 0)
+    exact = (after > 0) & (ref_stamps[at] == stamps)
+    between = (after > 0) & (after < ref_stamps.size) & ~exact
+    if np.count_nonzero(exact | between) < 3:
+        return math.nan
+    ref = np.empty_like(est)
+    ref[exact] = ref_xy[at[exact]]
+    lo, hi = at[between], after[between]
+    w = (stamps[between] - ref_stamps[lo]) / (ref_stamps[hi] - ref_stamps[lo])
+    ref[between] = ref_xy[lo] + w[:, None] * (ref_xy[hi] - ref_xy[lo])
+    keep = exact | between
+    est, ref = est[keep], ref[keep]
     theta, t = fit_rigid_2d(est, ref)
     c, s = math.cos(theta), math.sin(theta)
     est = est @ np.array([[c, -s], [s, c]]).T + t

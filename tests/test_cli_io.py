@@ -32,6 +32,7 @@ from thermoslam import (
     project_to_thermal,
     rectangle_site,
     simulate_session,
+    trajectory_ate,
 )
 from thermoslam.cli_io import (
     DatasetFormatError,
@@ -442,19 +443,32 @@ def test_cli_map_rejects_a_frame_of_another_size_before_mapping(tmp_path, capsys
 
 
 @pytest.mark.parametrize("change", ["shifted", "one_row", "no_rows"])
-def test_cli_map_scores_too_few_shared_ground_truth_stamps_as_nan(tmp_path, capsys, change):
-    # Ground truth may hold any increasing stamps. Sharing fewer than 3 with
-    # the trajectory leaves the rigid fit of the ATE undetermined.
+def test_cli_map_interpolates_ground_truth_and_scores_too_few_stamps_as_nan(tmp_path, capsys, change):
+    # Ground truth may hold any increasing stamps. Shifted 1 ns, it shares
+    # no keyframe stamp, but every keyframe after the first lies between two
+    # of its rows and is scored there. Fewer than 3 scored stamps leave the
+    # rigid fit of the ATE undetermined.
     dataset = _small_dataset()
     truth = dataset.ground_truth
     rows = {"shifted": [(s + 1, p) for s, p in truth], "one_row": truth[:1], "no_rows": []}
-    dataset.ground_truth = rows[change]
-    session = tmp_path / "session"
-    save_session(dataset, session)
-    out = tmp_path / "out"
-    assert main(["map", "--session", str(session), "--out", str(out)]) == 0
-    assert "mapped" in capsys.readouterr().out
-    assert read_report(out / "diagnostics.txt")["ate_m"] == "nan"
+    ate = {}
+    for name, ground_truth in (("unshifted", truth), (change, rows[change])):
+        dataset.ground_truth = ground_truth
+        session = tmp_path / name / "session"
+        save_session(dataset, session)
+        out = tmp_path / name / "out"
+        assert main(["map", "--session", str(session), "--out", str(out)]) == 0
+        assert "mapped" in capsys.readouterr().out
+        ate[name] = float(read_report(out / "diagnostics.txt")["ate_m"])
+    assert 0.0 < ate["unshifted"] < 0.05
+    if change == "shifted":
+        # The first keyframe, 1 ns before the shifted span, is skipped; the
+        # others are scored 1 ns before a row, within nanometres of it.
+        trajectory = read_trajectory_csv(tmp_path / "unshifted" / "out" / "trajectory.csv")
+        assert ate["shifted"] == pytest.approx(trajectory_ate(trajectory[1:], truth), abs=1e-9)
+        assert ate["shifted"] == pytest.approx(ate["unshifted"], rel=0.05)
+    else:
+        assert math.isnan(ate[change])
 
 
 def test_write_thermal_frames_checks_every_frame_before_writing(tmp_path):

@@ -557,3 +557,24 @@ def test_trajectory_ate_alignment_and_errors():
     assert math.isnan(trajectory_ate([(100, PlanarPose())], truth))
     assert math.isnan(trajectory_ate(shifted[:2], truth))
     assert trajectory_ate(shifted[:3], truth) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_trajectory_ate_interpolates_the_reference_inside_its_span():
+    # Reference rows every 10 ns on the line y = 2x, estimated stamps between
+    # them and beyond both ends, moved rigidly.
+    truth = [(10 * k, PlanarPose(0.1 * k, 0.2 * k, 0.0)) for k in range(10)]
+    c, s = math.cos(0.3), math.sin(0.3)
+    moved = [(t, PlanarPose(c * 0.01 * t - s * 0.02 * t + 1.0, s * 0.01 * t + c * 0.02 * t, 0.0)) for t in range(-5, 100, 7)]
+    assert trajectory_ate(moved, truth) == pytest.approx(0.0, abs=1e-12)
+    # A stamp outside the span is skipped, not extrapolated: an estimate far
+    # off the line there changes nothing.
+    assert trajectory_ate(moved + [(500, PlanarPose(50.0, -9.0, 0.0))], truth) == trajectory_ate(moved, truth)
+    # At an equal stamp the reference row is kept as is, even off the line
+    # through its neighbours; the reference's row order does not matter.
+    kinked = truth[:5] + [(50, PlanarPose(0.5, 3.0, 0.0))] + truth[6:]
+    estimated = [(t, p) for t, p in truth if t != 50] + [(50, PlanarPose(0.5, 3.0, 0.0))]
+    assert trajectory_ate(estimated, kinked) == pytest.approx(0.0, abs=1e-12)
+    assert trajectory_ate(estimated, kinked[::-1]) == pytest.approx(0.0, abs=1e-12)
+    # Two reference rows can score any number of stamps between them.
+    assert trajectory_ate(moved[1:4], truth[:3]) == pytest.approx(0.0, abs=1e-12)
+    assert math.isnan(trajectory_ate(moved[1:3], truth[:3]))
