@@ -264,48 +264,50 @@ def estimate_image_noise(celsius: np.ndarray) -> float:
     return 1.4826 * float(middle) / math.sqrt(2.0)
 
 
-def _cell_corner(shape: tuple[int, int], u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top-left pixel (x0, y0) of each sample's 2x2 interpolation cell."""
-    h, w = shape
-    return np.clip(np.floor(u).astype(int), 0, w - 2), np.clip(np.floor(v).astype(int), 0, h - 2)
+def _cell(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sample's 2x2 interpolation cell: the (4, k) corner values
+    (top left, top right, bottom left, bottom right) and the sample's
+    offsets wx, wy inside it."""
+    h, w = image.shape
+    x0 = np.clip(np.floor(u).astype(int), 0, w - 2)
+    y0 = np.clip(np.floor(v).astype(int), 0, h - 2)
+    corners = np.stack([image[y0, x0], image[y0, x0 + 1], image[y0 + 1, x0], image[y0 + 1, x0 + 1]])
+    return corners, np.clip(u - x0, 0.0, 1.0), np.clip(v - y0, 0.0, 1.0)
 
 
-def _bilinear(image: np.ndarray, u: np.ndarray, v: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    wx = np.clip(u - x0, 0.0, 1.0)
-    wy = np.clip(v - y0, 0.0, 1.0)
-    top = image[y0, x0] * (1.0 - wx) + image[y0, x0 + 1] * wx
-    bot = image[y0 + 1, x0] * (1.0 - wx) + image[y0 + 1, x0 + 1] * wx
+def _bilinear(corners: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    top = corners[0] * (1.0 - wx) + corners[1] * wx
+    bot = corners[2] * (1.0 - wx) + corners[3] * wx
     return top * (1.0 - wy) + bot * wy
-
-
-def _cell_spread(image: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Max minus min over each sample's 2x2 interpolation cell."""
-    cell = np.stack([image[y0, x0], image[y0, x0 + 1], image[y0 + 1, x0], image[y0 + 1, x0 + 1]])
-    return cell.max(axis=0) - cell.min(axis=0)
 
 
 def _seen_columns(cloud: WallCloud, camera_pose: RigidTransform3, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Indices of the columns that may hold a point inside the frame.
 
-    Each of the five tests (depth <= 0, and a pixel more than
-    PAINT_MARGIN_PX past the left, right, top or bottom border) is linear in
-    camera coordinates, so it holds along a whole column when it holds at
-    both ends, the lowest and the highest level. A column goes only when
-    one test holds at both ends.
+    A point at camera coordinates (x, y, z) can only be in the frame when
+    z, fx*x + (cx + m)*z and (width - 1 + m - cx)*z - fx*x, and the two
+    like forms in y, are all >= 0, m being PAINT_MARGIN_PX. Each form is
+    linear in the point's cloud coordinates, so along a column it is
+    negative at every level when it is negative at the lowest and the
+    highest; such a column is skipped. The margin keeps rounding from
+    dropping a point the frame sees.
     """
-    ends = np.array([cloud.heights.min(), cloud.heights.max()])
-    x, y, z = camera_pose.apply(_column_rows(cloud.points, ends)).T
     k, m = intrinsics, PAINT_MARGIN_PX
-    outside = np.stack(
+    forms = np.array(
         [
-            z <= 0.0,
-            k.fx * x + (k.cx + m) * z < 0.0,
-            (k.width - 1.0 + m - k.cx) * z - k.fx * x < 0.0,
-            k.fy * y + (k.cy + m) * z < 0.0,
-            (k.height - 1.0 + m - k.cy) * z - k.fy * y < 0.0,
+            [0.0, 0.0, 1.0],
+            [k.fx, 0.0, k.cx + m],
+            [-k.fx, 0.0, k.width - 1.0 + m - k.cx],
+            [0.0, k.fy, k.cy + m],
+            [0.0, -k.fy, k.height - 1.0 + m - k.cy],
         ]
-    ).reshape(5, -1, 2)
-    return np.flatnonzero(~outside.all(axis=2).any(axis=0))
+    )
+    # The forms at cloud point p are forms @ (rotation @ p + translation).
+    along = forms @ camera_pose.rotation
+    base = cloud.points @ along[:, :2].T + forms @ camera_pose.translation
+    low = base + cloud.heights.min() * along[:, 2]
+    high = base + cloud.heights.max() * along[:, 2]
+    return np.flatnonzero(~((low < 0.0) & (high < 0.0)).any(axis=1))
 
 
 def project_to_thermal(
@@ -357,12 +359,12 @@ def project_to_thermal(
     if take.size == 0:
         return
     gate = max(CELL_SPREAD_FLOOR, CELL_SPREAD_NOISE_FACTOR * estimate_image_noise(celsius))
-    x0, y0 = _cell_corner(celsius.shape, u[take], v[take])
-    clean = _cell_spread(celsius, x0, y0) <= gate
-    take, x0, y0 = take[clean], x0[clean], y0[clean]
+    corners, wx, wy = _cell(celsius, u[take], v[take])
+    clean = corners.max(axis=0) - corners.min(axis=0) <= gate
+    take = take[clean]
     # Row j * L + l of the surviving rows is entry [columns[j], l] of both grids.
     entries = (columns[take // cloud.heights.size], take % cloud.heights.size)
-    cloud.temperatures[entries] = _bilinear(celsius, u[take], v[take], x0, y0)
+    cloud.temperatures[entries] = _bilinear(corners[:, clean], wx[clean], wy[clean])
     distance[entries] = to_camera[take]
 
 
