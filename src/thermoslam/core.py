@@ -117,9 +117,10 @@ def trajectory_ate(
     """
     if not reference:
         return math.nan
-    order = np.argsort([int(s) for s, _ in reference], kind="stable")
-    ref_stamps = np.array([int(reference[k][0]) for k in order], dtype=np.int64)
-    ref_xy = np.array([[reference[k][1].x, reference[k][1].y] for k in order])
+    ref_stamps = np.array([int(s) for s, _ in reference], dtype=np.int64)
+    order = np.argsort(ref_stamps, kind="stable")
+    ref_stamps = ref_stamps[order]
+    ref_xy = np.array([[q.x, q.y] for _, q in reference])[order]
     stamps = np.array([int(s) for s, _ in estimated], dtype=np.int64)
     est = np.array([[p.x, p.y] for _, p in estimated]).reshape(-1, 2)
     # after[i] is the first reference row past stamps[i]; the row before it
@@ -128,14 +129,14 @@ def trajectory_ate(
     at = np.maximum(after - 1, 0)
     exact = (after > 0) & (ref_stamps[at] == stamps)
     between = (after > 0) & (after < ref_stamps.size) & ~exact
-    if np.count_nonzero(exact | between) < 3:
+    keep = exact | between
+    if np.count_nonzero(keep) < 3:
         return math.nan
     ref = np.empty_like(est)
     ref[exact] = ref_xy[at[exact]]
     lo, hi = at[between], after[between]
     w = (stamps[between] - ref_stamps[lo]) / (ref_stamps[hi] - ref_stamps[lo])
     ref[between] = ref_xy[lo] + w[:, None] * (ref_xy[hi] - ref_xy[lo])
-    keep = exact | between
     est, ref = est[keep], ref[keep]
     theta, t = fit_rigid_2d(est, ref)
     c, s = math.cos(theta), math.sin(theta)

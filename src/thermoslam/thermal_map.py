@@ -265,9 +265,11 @@ def estimate_image_noise(celsius: np.ndarray) -> float:
 
 
 def _cell(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sample's 2x2 interpolation cell: the (4, k) corner values
-    (top left, top right, bottom left, bottom right) and the sample's
-    offsets wx, wy inside it."""
+    """Each sample's 2x2 interpolation cell and the sample's offsets wx, wy inside it.
+
+    The cell is a (4, k) array of corner values: top left, top right,
+    bottom left, bottom right.
+    """
     h, w = image.shape
     x0 = np.clip(np.floor(u).astype(int), 0, w - 2)
     y0 = np.clip(np.floor(v).astype(int), 0, h - 2)
