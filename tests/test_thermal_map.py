@@ -434,8 +434,8 @@ def _accumulate_rows(rows, temperatures, poses, calib, voxel_size):
 def _project_rows(positions, temperatures, source_distance, camera_pose, image, intrinsics=INTRINSICS):
     """Reference: project_to_thermal on (x, y, z) rows, in place, every row tested.
 
-    The noise median, the 2x2 cell and its interpolation are written out
-    here as the painter first computed them.
+    The noise median (np.median), the 2x2 cell, its spread and the
+    bilinear sample are written out here, apart from the painter's helpers.
     """
     cam = camera_pose.apply(positions)
     z = cam[:, 2]
